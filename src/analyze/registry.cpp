@@ -20,6 +20,7 @@ const std::vector<std::string_view>& canonical_phase_tags() {
       "sim.replay",         // deterministic tile-ID-order replay
       "serve.execute",      // serving daemon: whole batch-execution phase
       "serve.batch",        // serving daemon: one batch on a serve thread
+      "serve.prepare",      // serving daemon: one dataset's PreparedMatrix
   };
   return tags;
 }

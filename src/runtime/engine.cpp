@@ -8,16 +8,50 @@
 
 namespace cosparse::runtime {
 
+std::shared_ptr<const PreparedMatrix> prepare_matrix(
+    const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
+    bool nnz_balanced, bool vblocked) {
+  // SC streams a plain nnz-balanced layout; SCS additionally needs
+  // vblocking so vector segments fit the scratchpad (the SC/SCS trade-off
+  // of Fig. 5 hinges on exactly this difference).
+  auto p = std::make_shared<PreparedMatrix>();
+  p->num_pes = cfg.num_pes();
+  p->num_tiles = cfg.num_tiles;
+  p->vblock_cols = vblocked ? kernels::default_vblock_cols(cfg) : 0;
+  p->nnz_balanced = nnz_balanced;
+  const sparse::Coo mt = sparse::transpose(adjacency);
+  p->density = mt.density();
+  p->ip_sc = kernels::IpPartitionedMatrix::build(mt, p->num_pes, 0,
+                                                 nnz_balanced);
+  p->ip_scs = kernels::IpPartitionedMatrix::build(mt, p->num_pes,
+                                                  p->vblock_cols, nnz_balanced);
+  p->op = kernels::OpStripedMatrix::build(mt, p->num_tiles, nnz_balanced);
+  return p;
+}
+
 Engine::Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
                EngineOptions opts)
+    : Engine(prepare_matrix(adjacency, cfg, opts.nnz_balanced, opts.vblocked),
+             cfg, opts) {}
+
+Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
+               const sim::SystemConfig& cfg, EngineOptions opts)
     : opts_(opts),
       machine_(cfg, opts.fixed_hw.value_or(sim::HwConfig::kSC)),
       amap_(machine_),
       decider_(cfg, opts.thresholds),
       native_hw_(opts.fixed_hw.value_or(sim::HwConfig::kSC)),
+      prepared_(std::move(prepared)),
       trace_(opts.trace),
       metrics_(opts.metrics),
       telemetry_(opts.telemetry) {
+  COSPARSE_REQUIRE(
+      prepared_ != nullptr && prepared_->num_pes == cfg.num_pes() &&
+          prepared_->num_tiles == cfg.num_tiles &&
+          prepared_->nnz_balanced == opts_.nnz_balanced &&
+          prepared_->vblock_cols ==
+              (opts_.vblocked ? kernels::default_vblock_cols(cfg) : 0),
+      "engine: prepared matrix was built for a different system or layout");
   machine_.set_trace(trace_);
   machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
@@ -44,19 +78,6 @@ Engine::Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
   }
   decider_.set_metrics(metrics_);
   decider_.set_audit(&audit_);
-  // f_next = SpMV(G^T, f): build the resident copies of G^T. SC streams a
-  // plain nnz-balanced layout; SCS additionally needs vblocking so vector
-  // segments fit the scratchpad (the SC/SCS trade-off of Fig. 5 hinges on
-  // exactly this difference).
-  const sparse::Coo mt = sparse::transpose(adjacency);
-  matrix_density_ = mt.density();
-  ip_matrix_sc_ = kernels::IpPartitionedMatrix::build(mt, cfg.num_pes(), 0,
-                                                      opts_.nnz_balanced);
-  const Index vb = opts_.vblocked ? kernels::default_vblock_cols(cfg) : 0;
-  ip_matrix_scs_ = kernels::IpPartitionedMatrix::build(mt, cfg.num_pes(), vb,
-                                                       opts_.nnz_balanced);
-  op_matrix_ =
-      kernels::OpStripedMatrix::build(mt, cfg.num_tiles, opts_.nnz_balanced);
   // Frontier staging buffers (see engine.h): allocate the worst-case
   // storage once so their host pointers never change over the engine's
   // lifetime. nnz is bounded by the dimension, so reserving `dim` entries
@@ -86,10 +107,10 @@ const sparse::SparseVector& Engine::stage_sparse(
 Decision Engine::resolve_decision(std::size_t frontier_nnz) const {
   Decision d;
   if (opts_.sw_reconfig) {
-    d = decider_.decide(dimension(), matrix_density_, frontier_nnz);
+    d = decider_.decide(dimension(), matrix_density(), frontier_nnz);
   } else {
     d = decider_.decide_forced_sw(opts_.fixed_sw, dimension(),
-                                  matrix_density_, frontier_nnz);
+                                  matrix_density(), frontier_nnz);
   }
   if (!opts_.hw_reconfig) {
     // Cache-only baseline mapping unless the caller pinned a config.

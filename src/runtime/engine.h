@@ -1,18 +1,19 @@
 // cosparse::runtime::Engine — the public entry point of the framework.
 //
-// An Engine owns (a) the simulated reconfigurable machine, (b) the
+// An Engine owns (a) the simulated reconfigurable machine and (c) the
+// decision engine, and shares (b) an immutable PreparedMatrix: the
 // resident matrix copies (plain COO for IP/SC, vblock-ordered COO for
 // IP/SCS, row-striped CSC for OP — kept simultaneously to avoid matrix
-// relayout at reconfiguration time, paper §III-D.2), and (c) the decision
-// engine.
+// relayout at reconfiguration time, paper §III-D.2).
 // Every spmv() call runs the full per-iteration CoSPARSE flow:
 //
 //   decide SW + HW  ->  reconfigure hardware if needed (flush + <=10 cyc)
 //   ->  convert the frontier representation if the dataflow changed
 //   ->  run the chosen kernel  ->  log the iteration record.
 //
-// The engine computes f_next = SpMV(G^T, f): it transposes the adjacency
-// matrix once at construction (paper Fig. 2).
+// The engine computes f_next = SpMV(G^T, f): prepare_matrix() transposes
+// the adjacency matrix once (paper Fig. 2). Many engines — e.g. the serve
+// batches of one cached dataset — may share one PreparedMatrix.
 #pragma once
 
 #include <chrono>
@@ -92,6 +93,31 @@ struct EngineOptions {
   native::ExecMode exec_mode = native::ExecMode::kSim;
 };
 
+/// The immutable part of an Engine: the resident layouts of G^T and its
+/// density. Read-only once built, so engines on any threads may share it.
+struct PreparedMatrix {
+  /// The shape the layouts were built for; an Engine requires its own
+  /// system and options to match.
+  std::uint32_t num_pes = 0;
+  std::uint32_t num_tiles = 0;
+  Index vblock_cols = 0;  ///< requested SCS vblock width; 0 = unblocked
+  bool nnz_balanced = true;
+  double density = 0.0;
+  // Two IP layouts stay resident: SC streams plain nnz-balanced row
+  // partitions, SCS needs the vblocked ordering so the vector segment of
+  // the active vblock fits the tile scratchpad (paper Fig. 3). Keeping
+  // both avoids relayout at reconfiguration time, like the COO+CSC pair.
+  kernels::IpPartitionedMatrix ip_sc;
+  kernels::IpPartitionedMatrix ip_scs;
+  kernels::OpStripedMatrix op;
+};
+
+/// f_next = SpMV(G^T, f): transposes `adjacency` and builds the resident
+/// layouts for `cfg` (EngineOptions::nnz_balanced / vblocked semantics).
+[[nodiscard]] std::shared_ptr<const PreparedMatrix> prepare_matrix(
+    const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
+    bool nnz_balanced = true, bool vblocked = true);
+
 /// One row of the Fig. 9-style iteration log.
 struct IterationRecord {
   std::uint32_t index = 0;
@@ -161,9 +187,14 @@ class Engine {
     }
   };
 
-  /// `adjacency`: A with A[u][v] = weight of edge u -> v.
+  /// `adjacency`: A with A[u][v] = weight of edge u -> v. Prepares a
+  /// private PreparedMatrix and delegates to the constructor below.
   Engine(const sparse::Coo& adjacency, const sim::SystemConfig& cfg,
          EngineOptions opts = {});
+  /// Shares `prepared`, which must have been built for `cfg` and the
+  /// nnz_balanced/vblocked settings of `opts` (throws otherwise).
+  Engine(std::shared_ptr<const PreparedMatrix> prepared,
+         const sim::SystemConfig& cfg, EngineOptions opts = {});
 
   /// The per-iteration CoSPARSE SpMV (see file comment). `dst_old` supplies
   /// V_dst for semirings with kUsesDst (CF).
@@ -177,8 +208,8 @@ class Engine {
   void charge_vector_pass(std::size_t elements, double ops_per_element,
                           std::uint32_t bytes_per_element);
 
-  [[nodiscard]] Index dimension() const { return ip_matrix_sc_.rows(); }
-  [[nodiscard]] double matrix_density() const { return matrix_density_; }
+  [[nodiscard]] Index dimension() const { return prepared_->ip_sc.rows(); }
+  [[nodiscard]] double matrix_density() const { return prepared_->density; }
   [[nodiscard]] const sim::SystemConfig& system() const {
     return machine_.config();
   }
@@ -263,13 +294,7 @@ class Engine {
   /// records identical to sim mode and selects the matching IP layout.
   sim::HwConfig native_hw_;
   native::DecisionEngine native_decider_;
-  // Two IP layouts stay resident: SC streams plain nnz-balanced row
-  // partitions, SCS needs the vblocked ordering so the vector segment of
-  // the active vblock fits the tile scratchpad (paper Fig. 3). Keeping
-  // both avoids relayout at reconfiguration time, like the COO+CSC pair.
-  kernels::IpPartitionedMatrix ip_matrix_sc_;
-  kernels::IpPartitionedMatrix ip_matrix_scs_;
-  kernels::OpStripedMatrix op_matrix_;
+  std::shared_ptr<const PreparedMatrix> prepared_;
   // Frontier staging buffers, allocated once at construction and refilled
   // in place each iteration. AddressMap memoizes simulated regions by host
   // pointer, so every pointer the kernels map must stay stable for the
@@ -280,7 +305,6 @@ class Engine {
   // would DMA into.
   kernels::DenseFrontier staged_dense_;
   sparse::SparseVector staged_sparse_;
-  double matrix_density_ = 0.0;
   std::vector<IterationRecord> log_;
   std::uint32_t next_iteration_ = 0;
   std::optional<SwConfig> last_sw_;
@@ -328,8 +352,8 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
   if (d.sw == SwConfig::kIP) {
     out.dense = true;
     Cycles conv = 0;
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? ip_matrix_scs_
-                                                     : ip_matrix_sc_;
+    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs
+                                                     : prepared_->ip_sc;
     if (f.dense) {
       const kernels::DenseFrontier& df = stage_dense(f.df);
       kernel_begin = machine_.cycles();
@@ -358,16 +382,16 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, op_matrix_, sv,
-                                            dst_old, sr);
+        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op,
+                                            sv, dst_old, sr);
       }
     } else {
       const sparse::SparseVector& sv = stage_sparse(f.sv);
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, op_matrix_, sv,
-                                            dst_old, sr);
+        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op,
+                                            sv, dst_old, sr);
       }
     }
     kernel_end = machine_.cycles();
@@ -421,8 +445,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
     // The decided hw config still selects the matching resident layout
     // (SCS streams the vblocked ordering), so element visit order — and
     // therefore every accumulation — matches the sim run exactly.
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? ip_matrix_scs_
-                                                     : ip_matrix_sc_;
+    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs
+                                                     : prepared_->ip_sc;
     const kernels::DenseFrontier* df = nullptr;
     if (f.dense) {
       df = &stage_dense(f.df);
@@ -442,8 +466,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
       sv = &stage_sparse(f.sv);
     }
     out.op = native::push_spmsv(machine_.config(), native_hw_,
-                                machine_.executor(), op_matrix_, *sv, dst_old,
-                                sr);
+                                machine_.executor(), prepared_->op, *sv,
+                                dst_old, sr);
   }
 
   // No cycle model in native mode: records keep the schema (lint requires

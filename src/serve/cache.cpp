@@ -1,18 +1,32 @@
 #include "serve/cache.h"
 
+#include <chrono>
 #include <condition_variable>
 
 #include "common/error.h"
+#include "obs/sampler.h"
+#include "runtime/engine.h"
 #include "sparse/formats.h"
 
 namespace cosparse::serve {
 
+namespace {
+
+double ms_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now() - t0)  // cosparse-lint: allow(determinism)
+      .count();
+}
+
+}  // namespace
+
 /// One resident dataset. pins > 0 means in-flight queries hold Leases on
-/// it; loading means the graph is still being produced by the first
-/// acquirer (later acquirers wait on `loaded_cv`).
+/// it; loading means the graph is still being loaded and prepared by the
+/// first acquirer (later acquirers wait on `loaded_cv`).
 struct CacheEntry {
   std::string name;
   sparse::Graph graph;
+  std::shared_ptr<const runtime::PreparedMatrix> prepared;
   std::uint64_t bytes = 0;
   std::uint32_t pins = 0;
   std::uint64_t lru_seq = 0;
@@ -37,6 +51,8 @@ MatrixCache::Lease& MatrixCache::Lease::operator=(Lease&& other) noexcept {
     release();
     cache_ = other.cache_;
     entry_ = other.entry_;
+    load_ms_ = other.load_ms_;
+    prepare_ms_ = other.prepare_ms_;
     other.cache_ = nullptr;
     other.entry_ = nullptr;
   }
@@ -48,6 +64,12 @@ const sparse::Graph& MatrixCache::Lease::graph() const {
   return entry_->graph;
 }
 
+const std::shared_ptr<const runtime::PreparedMatrix>&
+MatrixCache::Lease::prepared() const {
+  COSPARSE_CHECK(entry_ != nullptr);
+  return entry_->prepared;
+}
+
 void MatrixCache::Lease::release() {
   if (cache_ != nullptr && entry_ != nullptr) cache_->release_entry(entry_);
   cache_ = nullptr;
@@ -57,18 +79,15 @@ void MatrixCache::Lease::release() {
 MatrixCache::~MatrixCache() = default;
 
 MatrixCache::MatrixCache(const sparse::DatasetRegistry* registry,
+                         const sim::SystemConfig& system,
                          std::uint64_t budget_bytes, unsigned scale,
                          std::uint64_t dataset_seed)
     : registry_(registry),
+      system_(system),
       budget_(budget_bytes),
       scale_(scale),
       dataset_seed_(dataset_seed) {
   COSPARSE_CHECK(registry_ != nullptr);
-}
-
-std::uint64_t MatrixCache::graph_bytes(const sparse::Graph& g) {
-  return g.num_edges() * sizeof(sparse::Triplet) +
-         static_cast<std::uint64_t>(g.num_vertices()) * sizeof(Index);
 }
 
 MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
@@ -89,8 +108,9 @@ MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
     return Lease(this, entry);
   }
 
-  // Miss: insert a pinned loading placeholder, load outside the lock
-  // (other datasets keep flowing), then charge bytes and evict to fit.
+  // Miss: insert a pinned loading placeholder, load and prepare outside
+  // the lock (other datasets keep flowing), then charge bytes and evict to
+  // fit.
   ++stats_.misses;
   auto owned = std::make_unique<CacheEntry>();
   CacheEntry* entry = owned.get();
@@ -101,8 +121,19 @@ MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
 
   lock.unlock();
   sparse::Graph graph;
+  std::shared_ptr<const runtime::PreparedMatrix> prepared;
+  double load_ms = 0.0;
+  double prepare_ms = 0.0;
   try {
+    auto t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
     graph = registry_->load(dataset, scale_, dataset_seed_);
+    load_ms = ms_since(t0);
+    t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
+    {
+      const obs::PhaseScope phase("serve.prepare");
+      prepared = runtime::prepare_matrix(graph.adjacency(), system_);
+    }
+    prepare_ms = ms_since(t0);
   } catch (...) {
     // Unknown dataset / IO failure: withdraw the placeholder so a later
     // acquire can retry, wake any waiters, and rethrow.
@@ -115,8 +146,10 @@ MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
   }
 
   lock.lock();
-  entry->bytes = graph_bytes(graph);
+  entry->bytes =
+      resident_bytes(graph.num_vertices(), graph.num_edges(), system_.num_tiles);
   entry->graph = std::move(graph);
+  entry->prepared = std::move(prepared);
   entry->loading = false;
   entry->loaded_cv.notify_all();
 
@@ -125,7 +158,7 @@ MatrixCache::Lease MatrixCache::acquire(const std::string& dataset) {
   if (stats_.bytes_resident > budget_) ++stats_.over_budget_loads;
   if (stats_.bytes_resident > stats_.peak_bytes_resident)
     stats_.peak_bytes_resident = stats_.bytes_resident;
-  return Lease(this, entry);
+  return Lease(this, entry, load_ms, prepare_ms);
 }
 
 void MatrixCache::make_room(std::uint64_t need) {

@@ -181,4 +181,15 @@ Json ServeConfig::to_json() const {
   return j;
 }
 
+sim::SystemConfig parse_system(const std::string& spec) {
+  const auto x = spec.find('x');
+  if (x == std::string::npos || x == 0 || x + 1 >= spec.size())
+    throw Error("serve: system spec must look like 8x8: " + spec);
+  const auto tiles =
+      static_cast<std::uint32_t>(std::stoul(spec.substr(0, x)));
+  const auto pes =
+      static_cast<std::uint32_t>(std::stoul(spec.substr(x + 1)));
+  return sim::SystemConfig::transmuter(tiles, pes);
+}
+
 }  // namespace cosparse::serve

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/json.h"
+#include "sim/config.h"
 
 namespace cosparse::serve {
 
@@ -80,5 +81,10 @@ struct ServeConfig {
   /// Inverse of from_json (schema tag included).
   [[nodiscard]] Json to_json() const;
 };
+
+/// Parses the config's "AxB" system spec (A tiles of B PEs; same grammar
+/// as the bench suite's --system option). Throws cosparse::Error when
+/// malformed.
+[[nodiscard]] sim::SystemConfig parse_system(const std::string& spec);
 
 }  // namespace cosparse::serve

@@ -7,8 +7,8 @@
 #include <map>
 
 #include "common/error.h"
+#include "serve/cache.h"
 #include "sparse/datasets.h"
-#include "sparse/formats.h"
 
 namespace cosparse::serve {
 
@@ -37,8 +37,8 @@ bool known_dataset(const std::string& name) {
 
 std::uint64_t CostModel::bytes(const std::string& dataset) const {
   const sparse::DatasetSpec& spec = sparse::DatasetRegistry::spec(dataset);
-  return scaled_edges(spec, scale) * sizeof(sparse::Triplet) +
-         scaled_vertices(spec, scale) * sizeof(Index);
+  return resident_bytes(scaled_vertices(spec, scale),
+                        scaled_edges(spec, scale), num_tiles);
 }
 
 std::uint64_t CostModel::load_us(const std::string& dataset) const {
@@ -90,7 +90,7 @@ Schedule build_schedule(const ServeConfig& cfg,
   Schedule out;
   out.responses.resize(trace.size());
 
-  const CostModel cost{cfg.scale};
+  const CostModel cost{cfg.scale, parse_system(cfg.system).num_tiles};
 
   // Virtual replica of the MatrixCache: LRU by last dispatch, pinned
   // while a batch over the dataset is running on a virtual worker.

@@ -43,9 +43,10 @@ namespace cosparse::serve {
 /// report's timing section instead.
 struct CostModel {
   unsigned scale = 64;
+  std::uint32_t num_tiles = 8;  ///< of the config's system
 
-  /// Resident bytes the virtual cache charges for a dataset (mirrors
-  /// MatrixCache::graph_bytes over the scaled spec).
+  /// Resident bytes the virtual cache charges for a dataset: the cache's
+  /// resident_bytes() over the scaled spec.
   [[nodiscard]] std::uint64_t bytes(const std::string& dataset) const;
   /// Cold-load cost charged once per virtual cache miss.
   [[nodiscard]] std::uint64_t load_us(const std::string& dataset) const;

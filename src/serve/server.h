@@ -8,9 +8,10 @@
 //                            batching, virtual latencies (scheduler.h)
 //   execute()              — the scheduled batches run for real, spread
 //                            over --serve-threads host threads; each batch
-//                            leases its dataset from the MatrixCache and
-//                            runs its requests back-to-back on one fresh
-//                            Engine (sim or native per config.exec_mode)
+//                            leases its dataset's PreparedMatrix from the
+//                            MatrixCache and runs its requests
+//                            back-to-back on one Engine built on it (sim
+//                            or native per config.exec_mode)
 //   report()               — cosparse.run_report/v1 document
 //
 // Determinism contract (DESIGN.md §16): the schedule is fixed before any
@@ -83,7 +84,15 @@ class Server {
   sparse::DatasetRegistry registry_;
   Schedule schedule_;
   CacheStats cache_stats_;
-  std::vector<double> batch_wall_ms_;
+  /// Host wall time of one batch and its split, written by the batch's
+  /// worker into its own slot and observed into telemetry after the join.
+  struct BatchTiming {
+    double wall_ms = 0.0;
+    double load_ms = 0.0;     ///< 0 unless this batch's acquire missed
+    double prepare_ms = 0.0;  ///< 0 unless this batch's acquire missed
+    double exec_ms = 0.0;     ///< engine build + the batch's requests
+  };
+  std::vector<BatchTiming> batch_timing_;
   double total_wall_ms_ = 0.0;
 };
 

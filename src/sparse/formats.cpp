@@ -152,10 +152,19 @@ Csc csr_to_csc(const Csr& csr) { return coo_to_csc(csr_to_coo(csr)); }
 Csr csc_to_csr(const Csc& csc) { return coo_to_csr(csc_to_coo(csc)); }
 
 Coo transpose(const Coo& coo) {
-  std::vector<Triplet> triplets;
-  triplets.reserve(coo.nnz());
-  for (const auto& t : coo.triplets()) triplets.push_back({t.col, t.row, t.value});
-  return Coo(coo.cols(), coo.rows(), std::move(triplets));
+  // Bucket by column. The input is row-major and duplicate-free, so rows
+  // arrive ascending within each bucket and the output is (col, row)-sorted
+  // and unique without a sort.
+  std::vector<Offset> next(static_cast<std::size_t>(coo.cols()) + 1, 0);
+  for (const auto& t : coo.triplets()) ++next[t.col + 1];
+  for (Index c = 0; c < coo.cols(); ++c) next[c + 1] += next[c];
+  Coo out;
+  out.rows_ = coo.cols();
+  out.cols_ = coo.rows();
+  out.triplets_.resize(coo.nnz());
+  for (const auto& t : coo.triplets())
+    out.triplets_[next[t.col]++] = {t.col, t.row, t.value};
+  return out;
 }
 
 Coo symmetrize(const Coo& coo) {

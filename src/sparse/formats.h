@@ -40,6 +40,10 @@ class Coo {
   }
 
  private:
+  /// transpose() emits already-sorted, duplicate-free triplets and
+  /// bypasses the sorting constructor.
+  friend Coo transpose(const Coo& coo);
+
   Index rows_ = 0, cols_ = 0;
   std::vector<Triplet> triplets_;
 };
@@ -113,8 +117,9 @@ Coo csc_to_coo(const Csc& csc);
 Csc csr_to_csc(const Csr& csr);
 Csr csc_to_csr(const Csc& csc);
 
-/// Transposes (rows/cols swap, entries mirrored). Graph algorithms operate
-/// on G^T (paper Fig. 2: f_next = SpMV(G.T, f)).
+/// Transposes (rows/cols swap, entries mirrored) in O(nnz) with a counting
+/// sort by column. Graph algorithms operate on G^T (paper Fig. 2:
+/// f_next = SpMV(G.T, f)).
 Coo transpose(const Coo& coo);
 
 /// Symmetrizes a square matrix: the result contains (i, j) and (j, i) for

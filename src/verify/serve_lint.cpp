@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <set>
 #include <string>
 
+#include "serve/cache.h"
 #include "sparse/datasets.h"
-#include "sparse/formats.h"
 
 namespace cosparse::verify {
 
@@ -45,17 +46,18 @@ bool known_dataset(const std::string& name) {
       [&](const sparse::DatasetSpec& s) { return s.name == name; });
 }
 
-/// Mirror of MatrixCache::graph_bytes over the scaled spec (the virtual
-/// cost model uses the identical formula).
+/// The serve cache's resident_bytes() over the scaled spec, as the
+/// scheduler's virtual cache twin charges it.
 std::uint64_t dataset_bytes(const sparse::DatasetSpec& spec,
-                            std::uint64_t scale) {
+                            std::uint64_t scale, std::uint64_t tiles) {
   const std::uint64_t v = std::max<std::uint64_t>(1, spec.vertices / scale);
   const std::uint64_t e = std::max<std::uint64_t>(1, spec.edges / scale);
-  return e * sizeof(sparse::Triplet) + v * sizeof(Index);
+  return serve::resident_bytes(v, e, tiles);
 }
 
 void lint_traffic(const Json& traffic, std::vector<Finding>& out,
-                  std::uint64_t scale, const Json* budget) {
+                  std::uint64_t scale, std::uint64_t tiles,
+                  const Json* budget) {
   if (!traffic.is_object()) {
     emit(out, "serve.bad-type", Severity::kError,
          "traffic must be an object", "traffic");
@@ -138,7 +140,7 @@ void lint_traffic(const Json& traffic, std::vector<Finding>& out,
         largest = std::max(
             largest,
             dataset_bytes(sparse::DatasetRegistry::spec(item.as_string()),
-                          scale));
+                          scale, tiles));
       }
       if (budget != nullptr && is_uint(*budget) && largest > 0 &&
           static_cast<std::uint64_t>(budget->as_int()) < largest) {
@@ -209,6 +211,7 @@ std::vector<Finding> lint_serve_config(const Json& doc) {
   std::uint64_t max_active = 64;
   std::uint64_t max_batch = 8;
   std::uint64_t scale = 64;
+  std::uint64_t tiles = 8;  // ServeConfig's default system is 8x8
   for (const auto& [key, value] : doc.members()) {
     if (kKnown.find(key) == kKnown.end()) {
       emit(out, "serve.unknown-field", Severity::kError,
@@ -233,6 +236,9 @@ std::vector<Finding> lint_serve_config(const Json& doc) {
           value.as_string().find('x') == std::string::npos) {
         emit(out, "serve.bad-value", Severity::kError,
              "system must be an AxB spec like \"8x8\"", key);
+      } else {
+        tiles = std::max<std::uint64_t>(
+            1, std::strtoull(value.as_string().c_str(), nullptr, 10));
       }
     } else if (key == "max_active_reqs") {
       max_active = expect_uint(value, key, out);
@@ -262,7 +268,7 @@ std::vector<Finding> lint_serve_config(const Json& doc) {
          "max_batch_size");
   }
   if (const Json* traffic = doc.find("traffic"); traffic != nullptr)
-    lint_traffic(*traffic, out, scale, doc.find("cache_budget_bytes"));
+    lint_traffic(*traffic, out, scale, tiles, doc.find("cache_budget_bytes"));
   return out;
 }
 

@@ -1,13 +1,15 @@
 // MatrixCache: LRU under a byte budget, pinned entries never evicted,
-// concurrent acquires stay coherent.
+// concurrent acquires stay coherent and prepare each dataset once.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/error.h"
+#include "runtime/engine.h"
 #include "serve/cache.h"
 #include "sparse/datasets.h"
 
@@ -18,17 +20,19 @@ namespace {
 // relative sizes (the dense `vsp` spec overflows its clamped dimensions
 // at larger divisors).
 constexpr unsigned kScale = 128;
+const sim::SystemConfig kSystem = sim::SystemConfig::transmuter(2, 2);
 
 sparse::DatasetRegistry registry() { return sparse::DatasetRegistry(); }
 
 std::uint64_t bytes_of(const sparse::DatasetRegistry& reg,
                        const std::string& name) {
-  return MatrixCache::graph_bytes(reg.load(name, kScale, 0));
+  const sparse::Graph g = reg.load(name, kScale, 0);
+  return resident_bytes(g.num_vertices(), g.num_edges(), kSystem.num_tiles);
 }
 
 TEST(MatrixCache, MissThenHit) {
   auto reg = registry();
-  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
   {
     const auto lease = cache.acquire("twitter");
     ASSERT_TRUE(lease.valid());
@@ -45,7 +49,7 @@ TEST(MatrixCache, MissThenHit) {
 
 TEST(MatrixCache, UnknownDatasetThrows) {
   auto reg = registry();
-  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
   EXPECT_THROW((void)cache.acquire("friendster"), Error);
 }
 
@@ -55,7 +59,7 @@ TEST(MatrixCache, LruEvictionOrder) {
   const std::uint64_t budget =
       bytes_of(reg, "twitter") + bytes_of(reg, "vsp") +
       bytes_of(reg, "youtube") - 1;
-  MatrixCache cache(&reg, budget, kScale, 0);
+  MatrixCache cache(&reg, kSystem, budget, kScale, 0);
   { const auto l = cache.acquire("twitter"); }
   { const auto l = cache.acquire("vsp"); }
   // twitter is now least-recently-used; loading youtube must evict it
@@ -73,7 +77,7 @@ TEST(MatrixCache, AcquireRefreshesRecency) {
   const std::uint64_t budget =
       bytes_of(reg, "twitter") + bytes_of(reg, "vsp") +
       bytes_of(reg, "youtube") - 1;
-  MatrixCache cache(&reg, budget, kScale, 0);
+  MatrixCache cache(&reg, kSystem, budget, kScale, 0);
   { const auto l = cache.acquire("twitter"); }
   { const auto l = cache.acquire("vsp"); }
   { const auto l = cache.acquire("twitter"); }  // refresh: vsp is LRU now
@@ -87,7 +91,7 @@ TEST(MatrixCache, PinnedEntriesAreNeverEvicted) {
   // Budget fits only one dataset: with twitter pinned, loading vsp must
   // run over budget instead of evicting the pinned entry.
   const std::uint64_t budget = bytes_of(reg, "twitter");
-  MatrixCache cache(&reg, budget, kScale, 0);
+  MatrixCache cache(&reg, kSystem, budget, kScale, 0);
   const auto pinned = cache.acquire("twitter");
   ASSERT_TRUE(pinned.valid());
   {
@@ -103,7 +107,7 @@ TEST(MatrixCache, PinnedEntriesAreNeverEvicted) {
 
 TEST(MatrixCache, PeakBytesTracksHighWater) {
   auto reg = registry();
-  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
   { const auto a = cache.acquire("twitter"); }
   { const auto b = cache.acquire("vsp"); }
   const CacheStats s = cache.stats();
@@ -113,17 +117,22 @@ TEST(MatrixCache, PeakBytesTracksHighWater) {
 
 TEST(MatrixCache, ConcurrentAcquiresLoadOnce) {
   auto reg = registry();
-  MatrixCache cache(&reg, 1ULL << 30, kScale, 0);
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
   constexpr int kThreads = 8;
   std::atomic<int> failures{0};
+  // Every PreparedMatrix a lease saw, per worker and dataset.
+  std::vector<std::set<const runtime::PreparedMatrix*>> seen(2 * kThreads);
   std::vector<std::thread> workers;
   workers.reserve(kThreads);
   for (int i = 0; i < kThreads; ++i) {
-    workers.emplace_back([&cache, &failures] {
+    workers.emplace_back([&cache, &failures, &seen, i] {
       for (int rep = 0; rep < 20; ++rep) {
         const auto lease = cache.acquire(rep % 2 == 0 ? "twitter" : "vsp");
-        if (!lease.valid() || lease.graph().num_vertices() == 0)
+        if (!lease.valid() || lease.graph().num_vertices() == 0 ||
+            lease.prepared() == nullptr ||
+            lease.prepared()->ip_sc.rows() != lease.graph().num_vertices())
           failures.fetch_add(1);
+        seen[2 * i + rep % 2].insert(lease.prepared().get());
       }
     });
   }
@@ -134,14 +143,45 @@ TEST(MatrixCache, ConcurrentAcquiresLoadOnce) {
   // per dataset no matter how the 8 threads interleave.
   EXPECT_EQ(s.misses, 2u);
   EXPECT_EQ(s.hits, 8u * 20u - 2u);
+  // ...and exactly one prepare: all 160 leases of a dataset share one
+  // PreparedMatrix.
+  for (int d = 0; d < 2; ++d) {
+    std::set<const runtime::PreparedMatrix*> all;
+    for (int i = 0; i < kThreads; ++i)
+      all.insert(seen[2 * i + d].begin(), seen[2 * i + d].end());
+    EXPECT_EQ(all.size(), 1u) << "dataset " << d;
+  }
 }
 
 TEST(MatrixCache, GraphBytesFormula) {
+  // The budget charges the graph plus the three resident layouts of G^T.
   auto reg = registry();
   const auto g = reg.load("twitter", kScale, 0);
-  EXPECT_EQ(MatrixCache::graph_bytes(g),
-            g.num_edges() * sizeof(sparse::Triplet) +
-                g.num_vertices() * sizeof(Index));
+  const std::uint64_t v = g.num_vertices();
+  const std::uint64_t e = g.num_edges();
+  const std::uint64_t expected =
+      e * sizeof(sparse::Triplet) + v * sizeof(Index) +      // graph
+      2 * e * sizeof(sparse::Triplet) +                      // IP SC + SCS
+      e * sizeof(kernels::OpStripedMatrix::Element) +        // OP elements
+      kSystem.num_tiles * (v + 1) * sizeof(Offset);          // OP col_ptr
+  EXPECT_EQ(resident_bytes(v, e, kSystem.num_tiles), expected);
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
+  { const auto l = cache.acquire("twitter"); }
+  EXPECT_EQ(cache.stats().bytes_resident, expected);
+}
+
+TEST(MatrixCache, LeaseSharesPreparedMatrixAcrossAcquires) {
+  auto reg = registry();
+  MatrixCache cache(&reg, kSystem, 1ULL << 30, kScale, 0);
+  const auto first = cache.acquire("twitter");
+  EXPECT_GT(first.load_ms(), 0.0);
+  EXPECT_GT(first.prepare_ms(), 0.0);
+  const auto second = cache.acquire("twitter");
+  EXPECT_EQ(first.prepared(), second.prepared());
+  EXPECT_EQ(second.load_ms(), 0.0);
+  EXPECT_EQ(second.prepare_ms(), 0.0);
+  EXPECT_EQ(first.prepared()->num_tiles, kSystem.num_tiles);
+  EXPECT_EQ(first.prepared()->num_pes, kSystem.num_pes());
 }
 
 }  // namespace

@@ -144,10 +144,14 @@ TEST(ServeProperties, CacheNeverEvictsPinnedEntries) {
   // (and ASan would catch).
   sparse::DatasetRegistry reg;
   const std::vector<std::string> names = {"twitter", "vsp", "youtube"};
+  const sim::SystemConfig system = sim::SystemConfig::transmuter(2, 2);
+  const sparse::Graph twitter = reg.load("twitter", 128, 0);
+  const std::uint64_t budget =
+      resident_bytes(twitter.num_vertices(), twitter.num_edges(),
+                     system.num_tiles) +
+      1;
   for (std::uint64_t seed = 1; seed <= kSeeds; ++seed) {
-    const std::uint64_t budget =
-        MatrixCache::graph_bytes(reg.load("twitter", 128, 0)) + 1;
-    MatrixCache cache(&reg, budget, 128, 0);
+    MatrixCache cache(&reg, system, budget, 128, 0);
     Rng rng(seed);
     std::vector<std::pair<std::string, MatrixCache::Lease>> held;
     for (int step = 0; step < 40; ++step) {

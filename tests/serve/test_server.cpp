@@ -8,6 +8,7 @@
 
 #include "common/json.h"
 #include "obs/report.h"
+#include "obs/telemetry.h"
 #include "serve/server.h"
 #include "serve/trace.h"
 
@@ -111,6 +112,29 @@ TEST(Server, HostCacheNeverServesMoreMissesThanDatasets) {
   EXPECT_LE(s.misses, cfg.traffic.datasets.size());
   EXPECT_EQ(s.hits + s.misses,
             static_cast<std::uint64_t>(server.schedule().batches.size()));
+}
+
+TEST(Server, TelemetrySplitsBatchesIntoLoadPrepareAndExec) {
+  obs::Telemetry telemetry;
+  ServerOptions opts;
+  opts.serve_threads = 2;
+  opts.telemetry = &telemetry;
+  Server server(tiny_config(), opts);
+  (void)server.replay();
+  const auto count = [&](const char* name) -> std::uint64_t {
+    const obs::StreamingHistogram* h = telemetry.find_histogram(name);
+    return h == nullptr ? 0 : h->count();
+  };
+  // Every batch executes; only the batches whose acquire missed load and
+  // prepare, once per dataset.
+  const std::uint64_t batches = server.schedule().batches.size();
+  EXPECT_EQ(count("serve.batch_ms"), batches);
+  EXPECT_EQ(count("serve.exec_ms"), batches);
+  EXPECT_EQ(count("serve.load_ms"), server.cache_stats().misses);
+  EXPECT_EQ(count("serve.prepare_ms"), server.cache_stats().misses);
+  EXPECT_GT(server.cache_stats().misses, 0u);
+  EXPECT_LE(telemetry.find_histogram("serve.exec_ms")->sum(),
+            telemetry.find_histogram("serve.batch_ms")->sum());
 }
 
 TEST(Server, SourceVerticesAreReducedModuloDimension) {

@@ -102,6 +102,38 @@ TEST(Conversions, RandomRoundTripProperty) {
   }
 }
 
+TEST(Conversions, CountingTransposeMatchesSortBasedTranspose) {
+  // Property: the O(nnz) counting transpose equals mirroring every triplet
+  // and re-sorting it through the Coo constructor, triplet for triplet,
+  // across shapes that stress empty buckets and skewed columns.
+  const auto sort_based = [](const Coo& m) {
+    std::vector<Triplet> mirrored;
+    for (const auto& t : m.triplets())
+      mirrored.push_back({t.col, t.row, t.value});
+    return Coo(m.cols(), m.rows(), std::move(mirrored));
+  };
+  for (std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
+    const Coo random =
+        uniform_random(97, 61, 900, seed, ValueDist::kUniform01);
+    const std::vector<Coo> inputs = {
+        random,
+        power_law(200, 200, 3000, 2.2, seed, ValueDist::kUniformInt),
+        with_empty_slices(random, 0.3, 0.0, seed),
+        with_empty_slices(random, 0.0, 0.4, seed),
+        with_empty_slices(random, 0.5, 0.5, seed),
+        single_entry(13, 7, seed),
+        Coo(5, 9, {}),
+    };
+    for (const Coo& m : inputs) {
+      const Coo t = transpose(m);
+      const Coo ref = sort_based(m);
+      EXPECT_EQ(t.rows(), ref.rows());
+      EXPECT_EQ(t.cols(), ref.cols());
+      EXPECT_EQ(t.triplets(), ref.triplets()) << "seed " << seed;
+    }
+  }
+}
+
 TEST(Conversions, EmptyMatrix) {
   const Coo m(4, 4, {});
   EXPECT_EQ(coo_to_csr(m).nnz(), 0u);

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "serve/config.h"
+#include "serve/scheduler.h"
 
 namespace cosparse::verify {
 namespace {
@@ -108,6 +109,19 @@ TEST(ServeLint, BudgetBelowLargestDatasetWarns) {
   ASSERT_TRUE(has(fs, "serve.budget-below-dataset"));
   // A self-defeating-but-legal config warns; it must not error.
   EXPECT_FALSE(has_error(fs));
+}
+
+TEST(ServeLint, BudgetWarningChargesWhatTheSchedulerTwinCharges) {
+  // One byte formula: the warning fires exactly below the bytes the
+  // virtual cache twin charges on the config's system.
+  auto doc = valid_config();
+  doc["system"] = "4x4";
+  doc["traffic"]["datasets"] = Json::parse(R"(["twitter"])");
+  const std::uint64_t bytes = serve::CostModel{64, 4}.bytes("twitter");
+  doc["cache_budget_bytes"] = bytes;
+  EXPECT_FALSE(has(lint_serve_config(doc), "serve.budget-below-dataset"));
+  doc["cache_budget_bytes"] = bytes - 1;
+  EXPECT_TRUE(has(lint_serve_config(doc), "serve.budget-below-dataset"));
 }
 
 TEST(ServeLint, BatchExceedingAdmissionWarns) {

@@ -21,7 +21,8 @@
 // sections carry host wall-clock truth, plus optional per-response JSONL
 // (--responses-out, wire form with wall_service_ms). The standard
 // telemetry options (--telemetry-interval/--slo/--slo-strict/...) arm
-// the serve.request_ms / serve.batch_ms / serve.queue_* histograms; with
+// the serve.request_ms / serve.batch_ms / serve.{load,prepare,exec}_ms /
+// serve.queue_* histograms; with
 // --slo-strict the process exits 3 on any violated rule — the CI serve
 // leg gates on p99.serve.request_ms this way.
 //
