@@ -1,5 +1,6 @@
 #include "bench_util.h"
 
+#include <cstdlib>
 #include <filesystem>
 #include <iostream>
 #include <optional>
@@ -9,6 +10,7 @@
 #include <memory>
 
 #include "common/error.h"
+#include "common/threads.h"
 #include "kernels/address_map.h"
 #include "kernels/partition.h"
 #include "kernels/semiring.h"
@@ -30,7 +32,6 @@ KernelRun time_ip(const sparse::Coo& m, const kernels::DenseFrontier& x,
                   bool nnz_balanced, bool vblocked) {
   sim::Machine machine(cfg, hw);
   machine.set_profiler(profiler());
-  machine.set_executor(executor());
   machine.set_telemetry(telemetry());
   kernels::AddressMap amap(machine);
   const auto part = kernels::IpPartitionedMatrix::build(
@@ -52,7 +53,6 @@ KernelRun time_op(const sparse::Coo& m, const sparse::SparseVector& x,
                   bool nnz_balanced) {
   sim::Machine machine(cfg, hw);
   machine.set_profiler(profiler());
-  machine.set_executor(executor());
   machine.set_telemetry(telemetry());
   kernels::AddressMap amap(machine);
   const auto striped =
@@ -184,7 +184,7 @@ void add_observability_options(CliParser& cli) {
                "attach the region-attributed memory profiler (adds the "
                "memory_profile report section; see cosparse-prof)");
   cli.add_option("sim-threads",
-                 "host threads for tile-parallel simulation (0 = serial; "
+                 "host threads for native kernels (0 = serial; "
                  "COSPARSE_SIM_THREADS is the fallback; results are "
                  "bit-identical for any value)",
                  "");
@@ -208,16 +208,14 @@ void init_observability(const CliParser& cli) {
   if (cli.has("profile") && cli.flag("profile")) {
     st.profiler = std::make_unique<sim::MemProfiler>();
   }
-  std::uint32_t sim_threads = sim::ParallelExecutor::threads_from_env();
-  if (cli.has("sim-threads") && !cli.str("sim-threads").empty()) {
-    sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
-  }
-  if (sim_threads >= 1) {
-    st.executor = std::make_unique<sim::ParallelExecutor>(sim_threads);
-    // Recorded only when parallel simulation is on: the setting never
-    // changes results, and serial reports stay byte-comparable across
-    // hosts that do or don't set COSPARSE_SIM_THREADS.
-    st.report.set("sim_threads", sim_threads);
+  const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
+  if (!sim_threads.has_value()) std::exit(2);  // usage error, reported
+  if (*sim_threads >= 1) {
+    st.executor = std::make_unique<sim::ParallelExecutor>(*sim_threads);
+    // Recorded only when a pool exists: the setting never changes results,
+    // and serial reports stay byte-comparable across hosts that do or
+    // don't set COSPARSE_SIM_THREADS.
+    st.report.set("sim_threads", *sim_threads);
   }
   // Runs are only reproducible with their seed; keep it in the report.
   if (cli.has("seed")) st.report.set("seed", cli.integer("seed"));

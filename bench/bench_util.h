@@ -83,7 +83,8 @@ void add_observability_options(CliParser& cli);
 /// Reads --report-out / --trace-out (the trace path falls back to the
 /// COSPARSE_TRACE environment variable) and arms the sinks below. Call
 /// once right after cli.parse(); harmless to skip — the sinks then stay
-/// disabled/unwritten.
+/// disabled/unwritten. Exits the process with code 2 (usage error) when
+/// --sim-threads is not a thread count.
 void init_observability(const CliParser& cli);
 
 /// The process-wide trace sink. Never nullptr, but disabled (null sink)
@@ -94,11 +95,11 @@ void init_observability(const CliParser& cli);
 /// The process-wide metrics registry. Pass into EngineOptions::metrics.
 [[nodiscard]] obs::MetricsRegistry& metrics();
 
-/// The process-wide simulation executor, or nullptr when the run is
-/// serial. Resolved from --sim-threads (falling back to the
-/// COSPARSE_SIM_THREADS environment variable); time_ip/time_op attach it
-/// automatically, and engine_options() forwards it. Thread count never
-/// changes simulated results — only wall-clock time.
+/// The process-wide executor for native kernels, or nullptr when they run
+/// serially. Resolved from --sim-threads (falling back to the
+/// COSPARSE_SIM_THREADS environment variable); engine_options() forwards
+/// it. The simulator is serial, so thread count never changes results —
+/// only the wall-clock time of native runs.
 [[nodiscard]] sim::ParallelExecutor* executor();
 
 /// The process-wide memory profiler, or nullptr unless --profile was

@@ -6,8 +6,6 @@
 // performance are visible independently of the simulated results.
 #include <benchmark/benchmark.h>
 
-#include <memory>
-
 #include "baselines/cpu_spmv.h"
 #include "kernels/address_map.h"
 #include "kernels/frontier.h"
@@ -15,7 +13,6 @@
 #include "kernels/op_spmv.h"
 #include "kernels/partition.h"
 #include "sim/machine.h"
-#include "sim/parallel.h"
 #include "sparse/generate.h"
 
 namespace {
@@ -132,23 +129,15 @@ void BM_SimOpKernel(benchmark::State& state) {
 BENCHMARK(BM_SimOpKernel);
 
 void BM_SimIpKernel16Tiles(benchmark::State& state) {
-  // Tile-parallel executor on a 16-tile system; Arg is the host thread
-  // count (0 = serial immediate mode). Results are bit-identical across
-  // arguments (sim::Machine::for_tiles), so this measures pure wall-clock:
-  // on a single-core host the parallel legs only show the log/replay
-  // overhead.
+  // The serial simulator on a 16-tile system.
   const auto m = sparse::uniform_random(1 << 14, 1 << 14, 1 << 18, 5,
                                         sparse::ValueDist::kUniform01);
   const auto cfg = sim::SystemConfig::transmuter(16, 4);
   const auto xf = kernels::DenseFrontier::from_dense(
       sparse::random_dense_vector(1 << 14, 6));
   const auto part = kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), 4096);
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  std::unique_ptr<sim::ParallelExecutor> exec;
-  if (threads >= 1) exec = std::make_unique<sim::ParallelExecutor>(threads);
   for (auto _ : state) {
     sim::Machine machine(cfg, sim::HwConfig::kSC);
-    machine.set_executor(exec.get());
     kernels::AddressMap amap(machine);
     benchmark::DoNotOptimize(kernels::run_inner_product(
         machine, amap, part, xf, kernels::PlainSpmv{}));
@@ -156,7 +145,7 @@ void BM_SimIpKernel16Tiles(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(m.nnz()));
 }
-BENCHMARK(BM_SimIpKernel16Tiles)->Arg(0)->Arg(2)->Arg(8);
+BENCHMARK(BM_SimIpKernel16Tiles);
 
 void BM_SimOpKernel16Tiles(benchmark::State& state) {
   const auto m = sparse::uniform_random(1 << 14, 1 << 14, 1 << 18, 5,
@@ -164,18 +153,14 @@ void BM_SimOpKernel16Tiles(benchmark::State& state) {
   const auto cfg = sim::SystemConfig::transmuter(16, 4);
   const auto xs = sparse::random_sparse_vector(1 << 14, 0.05, 8);
   const auto striped = kernels::OpStripedMatrix::build(m, cfg.num_tiles);
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  std::unique_ptr<sim::ParallelExecutor> exec;
-  if (threads >= 1) exec = std::make_unique<sim::ParallelExecutor>(threads);
   for (auto _ : state) {
     sim::Machine machine(cfg, sim::HwConfig::kPC);
-    machine.set_executor(exec.get());
     kernels::AddressMap amap(machine);
     benchmark::DoNotOptimize(kernels::run_outer_product(
         machine, amap, striped, xs, nullptr, kernels::PlainSpmv{}));
   }
 }
-BENCHMARK(BM_SimOpKernel16Tiles)->Arg(0)->Arg(2)->Arg(8);
+BENCHMARK(BM_SimOpKernel16Tiles);
 
 void BM_NativeCpuSpmv(benchmark::State& state) {
   const auto csr = sparse::coo_to_csr(test_matrix());

@@ -16,6 +16,7 @@
 
 #include "common/cli.h"
 #include "common/digest.h"
+#include "common/threads.h"
 #include "graph/algorithms.h"
 #include "kernels/semiring.h"
 #include "native/exec_mode.h"
@@ -40,7 +41,7 @@ int main(int argc, char** argv) {
                "memory_profile report section; see cosparse-prof)");
   cli.add_option("report-out", "write a JSON run report to this path", "");
   cli.add_option("sim-threads",
-                 "host threads for tile-parallel simulation (0 = serial; "
+                 "host threads for native kernels (0 = serial; "
                  "COSPARSE_SIM_THREADS is the fallback; results are "
                  "bit-identical for any value)",
                  "");
@@ -77,9 +78,9 @@ int main(int argc, char** argv) {
   obs::Trace trace(!trace_path.empty());
   obs::MetricsRegistry metrics;
   runtime::EngineOptions opts;
-  if (!cli.str("sim-threads").empty()) {
-    opts.sim_threads = static_cast<std::uint32_t>(cli.integer("sim-threads"));
-  }
+  const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
+  if (!sim_threads.has_value()) return 2;
+  opts.sim_threads = sim_threads;
   opts.exec_mode = native::resolve_exec_mode(
       cli.str("exec-mode").empty()
           ? std::nullopt

@@ -9,6 +9,7 @@
 
 #include "baselines/ligra/apps.h"
 #include "common/cli.h"
+#include "common/threads.h"
 #include "graph/algorithms.h"
 #include "native/exec_mode.h"
 #include "obs/sampler.h"
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
                "memory_profile report section; see cosparse-prof)");
   cli.add_option("report-out", "write a JSON run report to this path", "");
   cli.add_option("sim-threads",
-                 "host threads for tile-parallel simulation (0 = serial; "
+                 "host threads for native kernels (0 = serial; "
                  "COSPARSE_SIM_THREADS is the fallback; results are "
                  "bit-identical for any value)",
                  "");
@@ -61,10 +62,9 @@ int main(int argc, char** argv) {
       static_cast<std::uint32_t>(std::stoul(sys_spec.substr(x + 1))));
 
   runtime::EngineOptions eng_opts;
-  if (!cli.str("sim-threads").empty()) {
-    eng_opts.sim_threads =
-        static_cast<std::uint32_t>(cli.integer("sim-threads"));
-  }
+  const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
+  if (!sim_threads.has_value()) return 2;
+  eng_opts.sim_threads = sim_threads;
   eng_opts.exec_mode = native::resolve_exec_mode(
       cli.str("exec-mode").empty()
           ? std::nullopt

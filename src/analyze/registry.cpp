@@ -16,8 +16,6 @@ const std::vector<std::string_view>& canonical_phase_tags() {
       "native.kernel.pull", // native pull SpMV
       "native.kernel.push", // native push SpMSpV
       "sim.exec",           // serial tile execution
-      "sim.log_fill",       // parallel tile-body event-log fill
-      "sim.replay",         // deterministic tile-ID-order replay
       "serve.execute",      // serving daemon: whole batch-execution phase
       "serve.batch",        // serving daemon: one batch on a serve thread
       "serve.prepare",      // serving daemon: one dataset's PreparedMatrix

@@ -99,9 +99,10 @@ IpResult run_inner_product(Machine& m, AMap& amap,
     bool acc_open = false;
   };
   std::vector<PeState> state(pes);
-  // Tile bodies may run on parallel host threads (Machine::for_tiles), so
-  // the touched-row tally is kept per tile and summed afterwards; rows
-  // themselves are PE-exclusive, so y/touched need no coordination.
+  // Native tile bodies may run on parallel host threads
+  // (native::HostMachine::for_tiles), so the touched-row tally is kept per
+  // tile and summed afterwards; rows themselves are PE-exclusive, so
+  // y/touched need no coordination.
   std::vector<std::size_t> tile_touched(m.num_tiles(), 0);
 
   for (std::uint32_t vb = 0; vb < A.num_vblocks(); ++vb) {

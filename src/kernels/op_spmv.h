@@ -94,11 +94,11 @@ OpResult run_outer_product(Machine& m, AMap& amap,
   const std::size_t chunk = (x.nnz() + P - 1) / P;
 
   // Simulated placement of every tile's structures, hoisted ahead of the
-  // tile loop: alloc()/AddressMap registration mutate machine-global state
-  // and are phase-illegal once the tile bodies run on parallel host
-  // threads (Machine::for_tiles). Allocation order — elems, col_ptr, heap
-  // per tile in ascending tile order — matches the historical in-loop
-  // order, so addresses and profiler attribution are unchanged.
+  // tile loop so tile bodies touch no machine-global state: native tile
+  // bodies may run on parallel host threads (native::HostMachine::
+  // for_tiles). Allocation order — elems, col_ptr, heap per tile in
+  // ascending tile order — matches the historical in-loop order, so
+  // addresses and profiler attribution are unchanged.
   struct TilePlacement {
     Addr elems = 0;
     Addr col_ptr = 0;

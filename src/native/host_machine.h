@@ -72,8 +72,7 @@ class HostMachine {
 
   /// Tile bodies run concurrently when an executor is attached, serially
   /// otherwise. Kernel tile bodies only write tile/PE-exclusive output
-  /// slots (the same discipline the tile-parallel simulator enforces), so
-  /// results are bit-identical for every thread count.
+  /// slots, so results are bit-identical for every thread count.
   template <class Fn>
   void for_tiles(Fn&& fn) {
     if (exec_ != nullptr) {

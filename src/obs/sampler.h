@@ -8,7 +8,7 @@
 // thread's *phase-tag stack* — a tiny thread-local stack of interned
 // strings pushed by PhaseScope at the same places the trace-span
 // instrumentation already marks logical phases (`engine.spmv`,
-// `kernel.ip`, `sim.log_fill`, `sim.replay`, `graph.bfs`, ...) — into a
+// `kernel.ip`, `sim.exec`, `graph.bfs`, ...) — into a
 // per-thread lock-free ring buffer. Symbolization (dladdr + demangling)
 // happens entirely off the hot path, at stop().
 //

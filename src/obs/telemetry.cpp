@@ -8,6 +8,7 @@
 
 #include "common/error.h"
 #include "common/log.h"
+#include "common/threads.h"
 #include "obs/exporter.h"
 
 namespace cosparse::obs {
@@ -339,25 +340,6 @@ Json Telemetry::report_json() const {
 
 // ---- TelemetrySession ----
 
-namespace {
-
-/// --sim-threads is a sim-layer option; obs can't depend on sim, so resolve
-/// the same COSPARSE_SIM_THREADS fallback ParallelExecutor uses.
-std::int64_t resolve_sim_threads(const CliParser& cli) {
-  if (cli.has("sim-threads") && !cli.str("sim-threads").empty()) {
-    return cli.integer("sim-threads");
-  }
-  const char* env = std::getenv("COSPARSE_SIM_THREADS");
-  if (env != nullptr && *env != '\0') {
-    char* end = nullptr;
-    const long v = std::strtol(env, &end, 10);
-    if (end != nullptr && *end == '\0' && v >= 0) return v;
-  }
-  return 0;  // 0 = auto / serial default
-}
-
-}  // namespace
-
 void TelemetrySession::add_cli_options(CliParser& cli) {
   cli.add_option("telemetry-interval",
                  "snapshot cadence: <N>i iterations or <N>ms/<N>s wall clock "
@@ -389,7 +371,7 @@ void TelemetrySession::init(const CliParser& cli, const std::string& tool) {
   telemetry_->set_header("tool", tool);
   telemetry_->set_header("interval", cfg.spec);
   if (cli.has("seed")) telemetry_->set_header("seed", cli.integer("seed"));
-  telemetry_->set_header("sim_threads", resolve_sim_threads(cli));
+  telemetry_->set_header("sim_threads", sim_threads_from_cli(cli).value_or(0));
 
   ExporterOptions eopts;
   if (cli.has("telemetry-out")) eopts.jsonl_path = cli.str("telemetry-out");

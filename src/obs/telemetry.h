@@ -149,7 +149,7 @@ class Telemetry {
 
   /// Whether the snapshot cadence is armed. Histograms record regardless —
   /// a producer may attach a disabled Telemetry purely to collect
-  /// end-of-run distributions (bench/parallel_sim does).
+  /// end-of-run distributions.
   [[nodiscard]] bool enabled() const { return cfg_.enabled; }
   [[nodiscard]] const TelemetryConfig& config() const { return cfg_; }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/error.h"
+#include "common/threads.h"
 #include "kernels/region_plan.h"
 #include "obs/telemetry.h"
 
@@ -61,19 +62,18 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
     telemetry_->set_header("exec_mode",
                            Json(std::string(to_string(opts_.exec_mode))));
   }
-  // Tile-parallel simulation: an external executor wins; otherwise resolve
-  // sim_threads (nullopt -> COSPARSE_SIM_THREADS) and own the pool. Thread
-  // count never changes results (sim::Machine::for_tiles).
-  if (opts_.executor != nullptr) {
-    machine_.set_executor(opts_.executor);
-  } else {
+  // Host threads for the native kernels: an external executor wins;
+  // otherwise resolve sim_threads (nullopt -> COSPARSE_SIM_THREADS) and own
+  // the pool. The simulator is serial, so sim mode never owns one.
+  exec_ = opts_.executor;
+  if (exec_ == nullptr && opts_.exec_mode == native::ExecMode::kNative) {
     const std::uint32_t threads =
         opts_.sim_threads.has_value()
             ? *opts_.sim_threads
-            : sim::ParallelExecutor::threads_from_env();
+            : sim_threads_from_env();
     if (threads >= 1) {
       owned_exec_ = std::make_unique<sim::ParallelExecutor>(threads);
-      machine_.set_executor(owned_exec_.get());
+      exec_ = owned_exec_.get();
     }
   }
   decider_.set_metrics(metrics_);

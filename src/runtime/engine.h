@@ -68,28 +68,30 @@ struct EngineOptions {
   obs::MetricsRegistry* metrics = nullptr;
   /// Continuous telemetry registry (obs/telemetry.h; not owned). The
   /// engine observes per-iteration wall/cycle/density histograms, attaches
-  /// the registry to the machine for tile-phase fill/replay timing, and
-  /// pulses the snapshot cadence once per spmv() call. Telemetry only
-  /// reads simulator state, so results are bit-identical with it on or
-  /// off (the differential harness enforces this).
+  /// the registry to the machine for per-phase wall timing, and pulses the
+  /// snapshot cadence once per spmv() call. Telemetry only reads simulator
+  /// state, so results are bit-identical with it on or off (the
+  /// differential harness enforces this).
   obs::Telemetry* telemetry = nullptr;
-  /// Host threads for tile-parallel simulation. nullopt resolves
-  /// COSPARSE_SIM_THREADS (unset/invalid -> serial); an explicit 0 forces
-  /// serial simulation regardless of the environment; N >= 1 makes the
-  /// engine own a pool of exactly N workers. Results are bit-identical for
-  /// every setting (sim::Machine::for_tiles; DESIGN.md §11).
+  /// Host threads for native kernels (exec_mode == kNative). nullopt
+  /// resolves COSPARSE_SIM_THREADS (unset/invalid -> serial); an explicit 0
+  /// forces serial kernels regardless of the environment; N >= 1 makes a
+  /// native engine own a pool of exactly N workers. The simulator always
+  /// runs serially, so a sim-mode engine ignores this. Results are
+  /// bit-identical for every setting (DESIGN.md §11, §14).
   std::optional<std::uint32_t> sim_threads;
-  /// External executor to share across engines (not owned; must outlive
-  /// the engine). Overrides `sim_threads` when set.
+  /// External executor for native kernels, shared across engines (not
+  /// owned; must outlive the engine). Overrides `sim_threads` when set;
+  /// sim-mode engines never use it.
   sim::ParallelExecutor* executor = nullptr;
   /// Execution backend (ROADMAP item 4). kSim runs kernels through the
   /// cycle-accurate simulator; kNative runs the same kernel loops as plain
-  /// host code (src/native/) — no event logs, no cache model, no cycle
-  /// accounting — producing byte-identical results (the native
-  /// differential harness and the CI byte-compare gate enforce this).
+  /// host code (src/native/) — no cache model, no cycle accounting —
+  /// producing byte-identical results (the native differential harness
+  /// and the CI byte-compare gate enforce this).
   /// Decisions are still made and audited identically; iteration records
   /// carry cycles = 0. The executor/sim_threads knobs parallelize native
-  /// kernels over tiles exactly as they parallelize the simulator.
+  /// kernels over tiles; they are the only host parallelism in an engine.
   native::ExecMode exec_mode = native::ExecMode::kSim;
 };
 
@@ -284,6 +286,7 @@ class Engine {
 
   EngineOptions opts_;
   std::unique_ptr<sim::ParallelExecutor> owned_exec_;  ///< see sim_threads
+  sim::ParallelExecutor* exec_ = nullptr;  ///< native kernels' pool, or null
   sim::Machine machine_;
   kernels::AddressMap amap_;
   AuditTrail audit_;
@@ -454,8 +457,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
       df = &fill_dense_staging(f.sv, sr.vector_identity());
       rec.converted_frontier = true;
     }
-    out.ip = native::pull_spmv(machine_.config(), native_hw_,
-                               machine_.executor(), layout, *df, sr);
+    out.ip = native::pull_spmv(machine_.config(), native_hw_, exec_, layout,
+                               *df, sr);
   } else {
     out.dense = false;
     const sparse::SparseVector* sv = nullptr;
@@ -465,9 +468,8 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
     } else {
       sv = &stage_sparse(f.sv);
     }
-    out.op = native::push_spmsv(machine_.config(), native_hw_,
-                                machine_.executor(), prepared_->op, *sv,
-                                dst_old, sr);
+    out.op = native::push_spmsv(machine_.config(), native_hw_, exec_,
+                                prepared_->op, *sv, dst_old, sr);
   }
 
   // No cycle model in native mode: records keep the schema (lint requires

@@ -1,104 +1,14 @@
 #include "sim/machine.h"
 
 #include <algorithm>
-#include <bit>
 #include <chrono>
 
 #include "common/error.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
-#include "sim/parallel.h"
 #include "sim/profile.h"
 
 namespace cosparse::sim {
-namespace {
-
-// ---- tile-phase event log encoding (DESIGN.md §11) ----
-//
-// During a tile phase every timing-bearing Machine call appends one record
-// to the issuing tile's log instead of touching clocks/Stats/DRAM/profiler
-// (those are shared across tiles). Replay walks the logs serially in
-// ascending tile order and performs exactly the arithmetic — in exactly
-// the order — the serial engine would have used.
-//
-// Record = one header word, then tag-specific payload words. Header:
-// [63:56] tag, [55:32] aux (flag bits or a byte count), [31:0] tile-local
-// PE index.
-enum : std::uint64_t {
-  kTagCompute = 1,  // + 1 word: double bit pattern (cycles)
-  kTagMemFast = 2,  // + 1 word: addr. Pure L1 (or PS L2) hit, no line moves.
-  kTagMem = 3,      // + addr + L1 outcome [+ private-L2 outcomes, walk order]
-  kTagSpm = 4,      // SPM read/write (symmetric cost)
-  kTagLcp = 5,      // aux = writeback bytes
-  kTagBarrier = 6,  // tile barrier
-  kTagSpmFill = 7,  // + 2 words: src addr, bytes
-};
-// Aux flag bits for kTagMemFast / kTagMem.
-constexpr std::uint32_t kMemWrite = 1u;     // store (store-buffer cost)
-constexpr std::uint32_t kMemDirectL2 = 2u;  // PS: no L1, outcome is the L2's
-
-constexpr std::uint64_t make_header(std::uint64_t tag, std::uint32_t pe_local,
-                                    std::uint32_t aux24) {
-  return (tag << 56) | (static_cast<std::uint64_t>(aux24) << 32) | pe_local;
-}
-constexpr std::uint64_t tag_of(std::uint64_t h) { return h >> 56; }
-constexpr std::uint32_t aux_of(std::uint64_t h) {
-  return static_cast<std::uint32_t>((h >> 32) & 0xffffffu);
-}
-constexpr std::uint32_t pe_local_of(std::uint64_t h) {
-  return static_cast<std::uint32_t>(h & 0xffffffffu);
-}
-
-void push_outcome(std::vector<std::uint64_t>& log,
-                  const CacheArray::Outcome& o) {
-  log.push_back(static_cast<std::uint64_t>(o.hit ? 1 : 0) |
-                (static_cast<std::uint64_t>(o.num_fetched) << 8) |
-                (static_cast<std::uint64_t>(o.num_prefetched) << 16) |
-                (static_cast<std::uint64_t>(o.num_writebacks) << 24));
-  for (std::uint32_t i = 0; i < o.num_fetched; ++i) {
-    log.push_back(o.fetched_lines[i]);
-  }
-  for (std::uint32_t i = 0; i < o.num_writebacks; ++i) {
-    log.push_back(o.writeback_lines[i]);
-  }
-}
-
-CacheArray::Outcome pop_outcome(const std::vector<std::uint64_t>& log,
-                                std::size_t& cur) {
-  CacheArray::Outcome o;
-  const std::uint64_t w = log[cur++];
-  o.hit = (w & 1u) != 0;
-  o.num_fetched = static_cast<std::uint32_t>((w >> 8) & 0xffu);
-  o.num_prefetched = static_cast<std::uint32_t>((w >> 16) & 0xffu);
-  o.num_writebacks = static_cast<std::uint32_t>((w >> 24) & 0xffu);
-  for (std::uint32_t i = 0; i < o.num_fetched; ++i) {
-    o.fetched_lines[i] = log[cur++];
-  }
-  for (std::uint32_t i = 0; i < o.num_writebacks; ++i) {
-    o.writeback_lines[i] = log[cur++];
-  }
-  return o;
-}
-
-/// The one propagation order both the phase (array state) and replay
-/// (timing/stats) walk for an L1 outcome: fetched lines first — the
-/// demand fill, when the access missed, is fetched_lines[0] — then the
-/// dirty victims.
-template <class Fn>
-void walk_propagation(const CacheArray::Outcome& o, Fn&& fn) {
-  for (std::uint32_t i = 0; i < o.num_fetched; ++i) {
-    fn(o.fetched_lines[i], /*write=*/false, /*demand=*/!o.hit && i == 0);
-  }
-  for (std::uint32_t i = 0; i < o.num_writebacks; ++i) {
-    fn(o.writeback_lines[i], /*write=*/true, /*demand=*/false);
-  }
-}
-
-/// Tile whose phase body the current worker thread is executing.
-constexpr std::uint32_t kNoTile = 0xffffffffu;
-thread_local std::uint32_t t_phase_tile = kNoTile;
-
-}  // namespace
 
 Machine::Machine(const SystemConfig& cfg, HwConfig initial)
     : cfg_(cfg),
@@ -111,9 +21,6 @@ Machine::Machine(const SystemConfig& cfg, HwConfig initial)
 }
 
 Addr Machine::alloc(std::size_t bytes, std::string_view label) {
-  COSPARSE_CHECK_MSG(!phase_active_,
-                     "alloc() is phase-illegal: hoist allocations before "
-                     "for_tiles()");
   const Addr base = next_addr_;
   const Addr aligned =
       (bytes + kCacheLineBytes - 1) / kCacheLineBytes * kCacheLineBytes;
@@ -125,23 +32,12 @@ Addr Machine::alloc(std::size_t bytes, std::string_view label) {
 }
 
 void Machine::set_profiler(MemProfiler* prof) {
-  COSPARSE_CHECK_MSG(!phase_active_, "set_profiler() is phase-illegal");
   prof_ = prof;
   if (prof_ == nullptr) return;
   prof_->begin_machine(cfg_.num_tiles, cfg_.line_bytes, cfg_.dram_channels);
   for (const AllocRecord& a : allocs_) {
     prof_->add_region(a.base, a.bytes, a.label);
   }
-}
-
-void Machine::set_executor(ParallelExecutor* exec) {
-  COSPARSE_CHECK_MSG(!phase_active_, "set_executor() is phase-illegal");
-  exec_ = exec;
-}
-
-void Machine::set_telemetry(obs::Telemetry* telemetry) {
-  COSPARSE_CHECK_MSG(!phase_active_, "set_telemetry() is phase-illegal");
-  telemetry_ = telemetry;
 }
 
 namespace {
@@ -155,71 +51,17 @@ double wall_ms_since(std::chrono::steady_clock::time_point t0) {
 }  // namespace
 
 void Machine::for_tiles(const std::function<void(std::uint32_t)>& fn) {
-  COSPARSE_CHECK_MSG(!phase_active_, "for_tiles() does not nest");
-  const std::uint32_t T = cfg_.num_tiles;
-  if (exec_ == nullptr) {
-    // Immediate mode: the pre-existing serial code path, untouched.
-    const obs::PhaseScope phase("sim.exec");
-    for (std::uint32_t t = 0; t < T; ++t) fn(t);
-    return;
+  const obs::PhaseScope phase("sim.exec");
+  const auto t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
+  for (std::uint32_t t = 0; t < cfg_.num_tiles; ++t) fn(t);
+  // Host wall time only: the simulated event stream is identical with or
+  // without telemetry.
+  if (telemetry_ != nullptr) {
+    telemetry_->histogram("sim.phase_ms").observe(wall_ms_since(t0));
   }
-  // Phase timing (ROADMAP item 5: localize the replay bottleneck). Workers
-  // write only their own slot of tile_fill_ms_; histograms are observed
-  // after the join, on this thread — telemetry reads wall clocks only, so
-  // the simulated event stream is identical with or without it.
-  const bool timed = telemetry_ != nullptr;
-  const auto phase_t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
-  if (timed) tile_fill_ms_.assign(T, 0.0);
-  tile_log_.assign(T, {});
-  phase_active_ = true;
-  try {
-    exec_->run(T, [&](std::uint32_t t) {
-      const obs::PhaseScope phase("sim.log_fill");
-      t_phase_tile = t;
-      if (timed) {
-        const auto t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
-        fn(t);
-        tile_fill_ms_[t] = wall_ms_since(t0);
-      } else {
-        fn(t);
-      }
-      t_phase_tile = kNoTile;
-    });
-  } catch (...) {
-    phase_active_ = false;
-    tile_log_.clear();
-    throw;
-  }
-  phase_active_ = false;
-  // Deterministic merge: replay in ascending tile order — the exact order
-  // the serial engine interleaves tiles in.
-  const obs::PhaseScope replay_phase("sim.replay");
-  if (timed) {
-    auto& fill_hist = telemetry_->histogram("sim.tile_fill_ms");
-    for (std::uint32_t t = 0; t < T; ++t) fill_hist.observe(tile_fill_ms_[t]);
-    auto& replay_hist = telemetry_->histogram("sim.replay_ms");
-    for (std::uint32_t t = 0; t < T; ++t) {
-      const auto t0 = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
-      replay_tile(t);
-      replay_hist.observe(wall_ms_since(t0));
-    }
-    telemetry_->histogram("sim.phase_ms").observe(wall_ms_since(phase_t0));
-  } else {
-    for (std::uint32_t t = 0; t < T; ++t) replay_tile(t);
-  }
-  tile_log_.clear();
 }
 
 void Machine::compute(std::uint32_t pe, double cycles) {
-  if (phase_active_) {
-    const std::uint32_t tile = tile_of(pe);
-    COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                       "cross-tile compute in a tile phase");
-    auto& log = tile_log_[tile];
-    log.push_back(make_header(kTagCompute, pe % cfg_.pes_per_tile, 0));
-    log.push_back(std::bit_cast<std::uint64_t>(cycles));
-    return;
-  }
   pe_clock_[pe] += cycles;
   bump(tile_of(pe), [&](Stats& s) { s.pe_compute_cycles += cycles; });
 }
@@ -354,9 +196,8 @@ double Machine::access_l2(std::uint32_t pe, Addr addr, bool write,
   return finish_l2(pe, addr, demand, out);
 }
 
-template <class L2Fn>
 double Machine::finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
-                          const CacheArray::Outcome& out, L2Fn&& l2) {
+                          const CacheArray::Outcome& out) {
   const std::uint32_t tile = tile_of(pe);
   double latency = l1_latency;
   if (prof_ != nullptr) prof_->l1_access(tile, addr, out.hit);
@@ -365,22 +206,28 @@ double Machine::finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
   } else {
     bump(tile, [](Stats& s) { ++s.l1_misses; });
   }
-  walk_propagation(out, [&](Addr a, bool w, bool demand) {
-    if (demand) {
+  // Fetched lines first — the demand fill, when the access missed, is
+  // fetched_lines[0] — then the dirty victims.
+  for (std::uint32_t i = 0; i < out.num_fetched; ++i) {
+    const Addr a = out.fetched_lines[i];
+    if (i == 0 && !out.hit) {
       // The demand fill exposes the full next-level latency.
-      latency += cfg_.refill_overhead + l2(a, /*write=*/false, /*demand=*/true);
-    } else if (!w) {
+      latency += cfg_.refill_overhead +
+                 access_l2(pe, a, /*write=*/false, /*demand=*/true);
+    } else {
       // Tagged/miss prefetches move lines without stalling the PE.
-      l2(a, /*write=*/false, /*demand=*/false);
+      access_l2(pe, a, /*write=*/false, /*demand=*/false);
       bump(tile, [](Stats& s) { ++s.prefetch_lines; });
       if (prof_ != nullptr) prof_->prefetch_line(tile, a);
-    } else {
-      // Dirty L1 victims drain into L2 (no PE stall).
-      l2(a, /*write=*/true, /*demand=*/false);
-      bump(tile, [](Stats& s) { ++s.writeback_lines; });
-      if (prof_ != nullptr) prof_->l1_writeback(tile, a);
     }
-  });
+  }
+  for (std::uint32_t i = 0; i < out.num_writebacks; ++i) {
+    // Dirty L1 victims drain into L2 (no PE stall).
+    const Addr a = out.writeback_lines[i];
+    access_l2(pe, a, /*write=*/true, /*demand=*/false);
+    bump(tile, [](Stats& s) { ++s.writeback_lines; });
+    if (prof_ != nullptr) prof_->l1_writeback(tile, a);
+  }
   return latency;
 }
 
@@ -415,58 +262,7 @@ double Machine::route_access(std::uint32_t pe, Addr addr, bool write) {
   }
 
   const auto out = l1->access(requester, addr, write);
-  return finish_l1(pe, addr, l1_latency, out,
-                   [&](Addr a, bool w, bool demand) {
-                     return access_l2(pe, a, w, demand);
-                   });
-}
-
-void Machine::phase_mem(std::uint32_t pe, Addr addr, bool write) {
-  const std::uint32_t tile = tile_of(pe);
-  COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                     "cross-tile memory access in a tile phase");
-  auto& log = tile_log_[tile];
-  const std::uint32_t lp = pe % cfg_.pes_per_tile;
-  const std::uint32_t wflag = write ? kMemWrite : 0u;
-
-  if (l1_tile_.empty() && l1_pe_.empty()) {
-    // PS: the demand access goes straight to the tile-private L2. Array
-    // state advances now; timing/stats/DRAM happen at replay.
-    const auto out =
-        l2_tile_[tile]->access(lp, addr, write, /*low_priority=*/false);
-    if (out.hit && out.num_fetched == 0 && out.num_writebacks == 0) {
-      log.push_back(make_header(kTagMemFast, lp, wflag | kMemDirectL2));
-      log.push_back(addr);
-      return;
-    }
-    log.push_back(make_header(kTagMem, lp, wflag | kMemDirectL2));
-    log.push_back(addr);
-    push_outcome(log, out);
-    return;
-  }
-
-  CacheArray* l1 = !l1_tile_.empty() ? l1_tile_[tile].get() : l1_pe_[pe].get();
-  const std::uint32_t requester = !l1_tile_.empty() ? lp : 0;
-  const auto out = l1->access(requester, addr, write);
-  if (out.hit && out.num_fetched == 0 && out.num_writebacks == 0) {
-    // The common case: a pure hit moves no lines — 2 log words.
-    log.push_back(make_header(kTagMemFast, lp, wflag));
-    log.push_back(addr);
-    return;
-  }
-  log.push_back(make_header(kTagMem, lp, wflag));
-  log.push_back(addr);
-  push_outcome(log, out);
-  if (!l2_tile_.empty()) {
-    // PC: the tile-private L2's state advances now, in the same
-    // propagation order replay consumes the logged outcomes in. The
-    // shared L2 of SC/SCS is NOT touched here — replay performs those
-    // array accesses serially, preserving the serial warming order.
-    walk_propagation(out, [&](Addr a, bool w, bool demand) {
-      push_outcome(log,
-                   l2_tile_[tile]->access(lp, a, w, /*low_priority=*/!demand));
-    });
-  }
+  return finish_l1(pe, addr, l1_latency, out);
 }
 
 void Machine::apply_mem_latency(std::uint32_t pe, bool write, double latency) {
@@ -483,107 +279,14 @@ void Machine::apply_mem_latency(std::uint32_t pe, bool write, double latency) {
   }
 }
 
-void Machine::replay_tile(std::uint32_t tile) {
-  const std::vector<std::uint64_t>& log = tile_log_[tile];
-  const std::uint32_t P = cfg_.pes_per_tile;
-  std::size_t cur = 0;
-  while (cur < log.size()) {
-    const std::uint64_t h = log[cur++];
-    const std::uint32_t pe = tile * P + pe_local_of(h);
-    switch (tag_of(h)) {
-      case kTagCompute:
-        compute(pe, std::bit_cast<double>(log[cur++]));
-        break;
-      case kTagMemFast: {
-        const Addr addr = log[cur++];
-        const std::uint32_t aux = aux_of(h);
-        if (prof_ != nullptr) prof_->reuse_sample(addr);
-        double lat = 0.0;
-        if ((aux & kMemDirectL2) != 0) {
-          const double arb = arb_penalty(P, l2_tile_[tile]->num_banks());
-          lat = cfg_.xbar_latency + arb + cfg_.l2_bank_latency;
-          bump(tile, [](Stats& s) { ++s.xbar_transfers; });
-          if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, arb);
-          bump(tile, [](Stats& s) { ++s.l2_hits; });
-          if (prof_ != nullptr) prof_->l2_access(tile, addr, true);
-        } else if (!l1_tile_.empty()) {
-          const double arb = arb_penalty(P, l1_tile_[tile]->num_banks());
-          lat = 1.0 + arb;
-          bump(tile, [](Stats& s) { ++s.xbar_transfers; });
-          if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, arb);
-          bump(tile, [](Stats& s) { ++s.l1_hits; });
-          if (prof_ != nullptr) prof_->l1_access(tile, addr, true);
-        } else {
-          lat = 1.0;
-          bump(tile, [](Stats& s) { ++s.l1_hits; });
-          if (prof_ != nullptr) prof_->l1_access(tile, addr, true);
-        }
-        apply_mem_latency(pe, (aux & kMemWrite) != 0, lat);
-        break;
-      }
-      case kTagMem: {
-        const Addr addr = log[cur++];
-        const std::uint32_t aux = aux_of(h);
-        if (prof_ != nullptr) prof_->reuse_sample(addr);
-        double lat = 0.0;
-        if ((aux & kMemDirectL2) != 0) {
-          lat = finish_l2(pe, addr, /*demand=*/true, pop_outcome(log, cur));
-        } else {
-          double l1_latency = 1.0;
-          if (!l1_tile_.empty()) {
-            const double arb = arb_penalty(P, l1_tile_[tile]->num_banks());
-            l1_latency = 1.0 + arb;
-            bump(tile, [](Stats& s) { ++s.xbar_transfers; });
-            if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, arb);
-          }
-          const auto out = pop_outcome(log, cur);
-          lat = finish_l1(pe, addr, l1_latency, out,
-                          [&](Addr a, bool w, bool demand) {
-                            if (l2_global_) return access_l2(pe, a, w, demand);
-                            return finish_l2(pe, a, demand,
-                                             pop_outcome(log, cur));
-                          });
-        }
-        apply_mem_latency(pe, (aux & kMemWrite) != 0, lat);
-        break;
-      }
-      case kTagSpm:
-        spm_read(pe, 0);
-        break;
-      case kTagLcp:
-        lcp_emit(pe, aux_of(h));
-        break;
-      case kTagBarrier:
-        tile_barrier(tile);
-        break;
-      case kTagSpmFill: {
-        const Addr src = log[cur++];
-        const auto bytes = static_cast<std::size_t>(log[cur++]);
-        spm_fill_tile(tile, src, bytes);
-        break;
-      }
-      default:
-        COSPARSE_CHECK_MSG(false, "corrupt tile-phase event log");
-    }
-  }
-}
-
 void Machine::mem_read(std::uint32_t pe, Addr addr, std::uint32_t bytes) {
   (void)bytes;  // sub-line accesses cost one hierarchy round trip
-  if (phase_active_) {
-    phase_mem(pe, addr, /*write=*/false);
-    return;
-  }
   const double latency = route_access(pe, addr, /*write=*/false);
   apply_mem_latency(pe, /*write=*/false, latency);
 }
 
 void Machine::mem_write(std::uint32_t pe, Addr addr, std::uint32_t bytes) {
   (void)bytes;
-  if (phase_active_) {
-    phase_mem(pe, addr, /*write=*/true);
-    return;
-  }
   const double latency = route_access(pe, addr, /*write=*/true);
   apply_mem_latency(pe, /*write=*/true, latency);
 }
@@ -598,14 +301,6 @@ std::size_t Machine::spm_bytes_per_pe() const {
 
 void Machine::spm_read(std::uint32_t pe, std::uint32_t /*bytes*/) {
   COSPARSE_CHECK_MSG(has_l1_spm(hw_), "SPM access in a cache-only config");
-  if (phase_active_) {
-    const std::uint32_t tile = tile_of(pe);
-    COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                       "cross-tile SPM access in a tile phase");
-    tile_log_[tile].push_back(
-        make_header(kTagSpm, pe % cfg_.pes_per_tile, 0));
-    return;
-  }
   double latency = cfg_.spm_latency + cfg_.spm_mgmt_cycles;
   if (hw_ == HwConfig::kSCS) {
     // Shared SPM arbitration: the SCS split is by capacity, so all of the
@@ -627,15 +322,6 @@ void Machine::spm_write(std::uint32_t pe, std::uint32_t bytes) {
 void Machine::spm_fill_tile(std::uint32_t tile, Addr src, std::size_t bytes) {
   COSPARSE_CHECK_MSG(hw_ == HwConfig::kSCS,
                      "tile SPM fill is only meaningful in SCS");
-  if (phase_active_) {
-    COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                       "cross-tile SPM fill in a tile phase");
-    auto& log = tile_log_[tile];
-    log.push_back(make_header(kTagSpmFill, 0, 0));
-    log.push_back(src);
-    log.push_back(static_cast<std::uint64_t>(bytes));
-    return;
-  }
   tile_barrier(tile);
   // Stream the segment line by line through the (shared) L2 so a segment
   // already pulled by another tile costs L2 bandwidth, not DRAM bandwidth.
@@ -685,19 +371,11 @@ void Machine::spread_traffic(std::uint64_t bytes, bool write,
 }
 
 void Machine::dma_traffic(std::size_t bytes, bool write) {
-  COSPARSE_CHECK_MSG(!phase_active_, "dma_traffic() is phase-illegal");
   spread_traffic(bytes, write, "dma");
 }
 
 void Machine::lcp_emit(std::uint32_t pe, std::uint32_t bytes) {
   const std::uint32_t tile = tile_of(pe);
-  if (phase_active_) {
-    COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                       "cross-tile LCP emit in a tile phase");
-    tile_log_[tile].push_back(
-        make_header(kTagLcp, pe % cfg_.pes_per_tile, bytes));
-    return;
-  }
   // The PE spends one cycle handing the element off.
   pe_clock_[pe] += 1.0;
   bump(tile, [](Stats& s) {
@@ -713,12 +391,6 @@ void Machine::lcp_emit(std::uint32_t pe, std::uint32_t bytes) {
 }
 
 void Machine::tile_barrier(std::uint32_t tile) {
-  if (phase_active_) {
-    COSPARSE_CHECK_MSG(tile == t_phase_tile,
-                       "cross-tile barrier in a tile phase");
-    tile_log_[tile].push_back(make_header(kTagBarrier, 0, 0));
-    return;
-  }
   const std::uint32_t base = tile * cfg_.pes_per_tile;
   double mx = lcp_clock_[tile];
   for (std::uint32_t p = 0; p < cfg_.pes_per_tile; ++p) {
@@ -732,7 +404,6 @@ void Machine::tile_barrier(std::uint32_t tile) {
 }
 
 void Machine::global_barrier() {
-  COSPARSE_CHECK_MSG(!phase_active_, "global_barrier() is phase-illegal");
   double mx = 0.0;
   for (double c : pe_clock_) mx = std::max(mx, c);
   for (double c : lcp_clock_) mx = std::max(mx, c);
@@ -743,7 +414,6 @@ void Machine::global_barrier() {
 }
 
 void Machine::reconfigure(HwConfig next) {
-  COSPARSE_CHECK_MSG(!phase_active_, "reconfigure() is phase-illegal");
   const double span_begin = static_cast<double>(cycles());
   const HwConfig from = hw_;
   global_barrier();
@@ -828,8 +498,6 @@ void Machine::reconfigure(HwConfig next) {
 }
 
 Cycles Machine::cycles() const {
-  COSPARSE_CHECK_MSG(!phase_active_,
-                     "cycles() is phase-illegal: clocks advance at replay");
   double mx = 0.0;
   for (double c : pe_clock_) mx = std::max(mx, c);
   for (double c : lcp_clock_) mx = std::max(mx, c);

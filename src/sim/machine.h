@@ -17,11 +17,9 @@
 //     "0 to (Nsrc-1) serialization latency depending upon number of
 //     conflicts").
 //
-// Tiles may be simulated on parallel host threads (set_executor +
-// for_tiles): tile bodies advance only tile-private array state and log
-// their events; the logs are replayed serially in tile-ID order, so the
-// numbers are bit-identical to the serial engine for any thread count
-// (DESIGN.md §11).
+// Tiles are simulated serially in ascending tile-ID order (for_tiles), so
+// every run of the same inputs produces the same numbers (DESIGN.md §11).
+// Simulated cycles never depend on how many host threads the caller has.
 //
 // Hierarchy wiring per HwConfig (paper Fig. 2):
 //   SC : per-tile shared L1 cache (P banks)           -> global shared L2
@@ -50,7 +48,6 @@ class Telemetry;
 namespace cosparse::sim {
 
 class MemProfiler;
-class ParallelExecutor;
 
 class Machine {
  public:
@@ -130,26 +127,9 @@ class Machine {
   void tile_barrier(std::uint32_t tile);
   void global_barrier();
 
-  // ---- tile-parallel execution ----
-  /// Attaches a host thread pool (not owned; nullptr detaches; must
-  /// outlive the machine while attached). With an executor, for_tiles()
-  /// runs the tile bodies concurrently as a *tile phase*: each body may
-  /// only touch tile-private simulator state (its tile's L1/L2 arrays) and
-  /// every timing-bearing event is appended to a per-tile log. When all
-  /// bodies finish, the machine replays the logs serially in ascending
-  /// tile-ID order, performing all clock/Stats/DRAM/profiler arithmetic in
-  /// exactly the order the serial engine uses — so cycle counts, Stats,
-  /// profiler attribution and run reports are bit-identical for every
-  /// thread count (determinism argument: DESIGN.md §11).
-  void set_executor(ParallelExecutor* exec);
-  [[nodiscard]] ParallelExecutor* executor() const { return exec_; }
-
-  /// Runs fn(tile) for every tile in [0, num_tiles). Without an executor
-  /// this is a plain serial loop (the immediate mode every pre-existing
-  /// caller gets); with one, bodies run as a tile phase (see
-  /// set_executor). Inside a body, PE-side operations are legal only for
-  /// PEs of that tile; alloc(), dma_traffic(), global_barrier(),
-  /// reconfigure(), cycles() and sink (re)attachment are phase-illegal.
+  // ---- tile execution ----
+  /// Runs fn(tile) for every tile in ascending order [0, num_tiles) on the
+  /// calling thread, under the "sim.exec" profiler phase.
   void for_tiles(const std::function<void(std::uint32_t)>& fn);
 
   // ---- reconfiguration (paper §III-D: LCP-triggered, <= 10 cycles) ----
@@ -171,17 +151,11 @@ class Machine {
   void set_profiler(MemProfiler* prof);
   [[nodiscard]] MemProfiler* profiler() const { return prof_; }
 
-  /// Attaches a telemetry registry (obs/telemetry.h). With an executor
-  /// attached, every for_tiles() phase then observes host wall time into
-  /// three histograms — "sim.tile_fill_ms" (one sample per tile body, the
-  /// log-fill running on worker threads), "sim.replay_ms" (one sample per
-  /// tile, the serial replay) and "sim.phase_ms" (one sample per phase) —
-  /// the ROADMAP item 5 replay-bottleneck breakdown. Workers only write
-  /// their own slot of a per-tile scratch vector; histograms are observed
-  /// after the phase joins, on the calling thread, so telemetry never
-  /// races and never perturbs simulated state (wall time is host-side).
-  /// Pass nullptr to detach.
-  void set_telemetry(obs::Telemetry* telemetry);
+  /// Attaches a telemetry registry (obs/telemetry.h). Every for_tiles()
+  /// call then observes its host wall time into the "sim.phase_ms"
+  /// histogram. Wall time is host-side, so telemetry never perturbs
+  /// simulated state. Pass nullptr to detach.
+  void set_telemetry(obs::Telemetry* telemetry) { telemetry_ = telemetry; }
   [[nodiscard]] obs::Telemetry* telemetry() const { return telemetry_; }
 
   // ---- results ----
@@ -220,24 +194,15 @@ class Machine {
   /// L2-level access (demand or traffic-only); returns demand latency.
   double access_l2(std::uint32_t pe, Addr addr, bool write, bool demand);
   /// Timing/stats/profiler half of an L1 access whose array outcome is
-  /// already known; `l2(addr, write, demand)` propagates fills/writebacks
-  /// to the next level (array access in immediate mode, logged outcome in
-  /// replay) and returns the demand latency. Shared between the serial
-  /// path and tile-phase replay so the two execute identical arithmetic
-  /// in identical order.
-  template <class L2Fn>
+  /// already known; propagates its fills and writebacks to L2 and returns
+  /// the demand latency.
   double finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
-                   const CacheArray::Outcome& out, L2Fn&& l2);
+                   const CacheArray::Outcome& out);
   /// Timing/stats/profiler half of an L2 access with a known outcome.
   double finish_l2(std::uint32_t pe, Addr addr, bool demand,
                    const CacheArray::Outcome& out);
   /// Stall/issue cost applied to the issuing PE after routing an access.
   void apply_mem_latency(std::uint32_t pe, bool write, double latency);
-  /// Tile-phase half of mem_read/mem_write: advances the tile-private
-  /// array state and logs the outcome(s) for replay.
-  void phase_mem(std::uint32_t pe, Addr addr, bool write);
-  /// Replays one tile's phase log (serial, called in tile-ID order).
-  void replay_tile(std::uint32_t tile);
 
   /// Applies one mutation to the global stats and the owning tile's slice,
   /// keeping the two views additive by construction.
@@ -261,10 +226,6 @@ class Machine {
   obs::Trace* trace_ = nullptr;
   MemProfiler* prof_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
-  ParallelExecutor* exec_ = nullptr;
-  bool phase_active_ = false;  ///< a for_tiles() phase is running on workers
-  std::vector<std::vector<std::uint64_t>> tile_log_;  ///< per-tile event logs
-  std::vector<double> tile_fill_ms_;  ///< per-tile body wall ms, slot-private
 
   std::vector<AllocRecord> allocs_;  ///< replayed into late-attached profilers
 

@@ -1,7 +1,6 @@
 #include "sim/parallel.h"
 
 #include <algorithm>
-#include <cstdlib>
 
 #include "common/error.h"
 
@@ -65,15 +64,6 @@ void ParallelExecutor::worker() {
       if (--pending_ == 0) done_cv_.notify_all();
     }
   }
-}
-
-std::uint32_t ParallelExecutor::threads_from_env() {
-  const char* v = std::getenv("COSPARSE_SIM_THREADS");
-  if (v == nullptr || *v == '\0') return 0;
-  char* end = nullptr;
-  const unsigned long n = std::strtoul(v, &end, 10);
-  if (end == v || *end != '\0') return 0;
-  return static_cast<std::uint32_t>(std::min<unsigned long>(n, 256));
 }
 
 }  // namespace cosparse::sim

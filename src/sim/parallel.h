@@ -1,12 +1,13 @@
-// Host thread pool for tile-parallel simulation (sim::Machine::for_tiles).
+// Host thread pool for native kernels (native::HostMachine::for_tiles and
+// the AVX2 pull path) and for serve batches (serve::Server). The simulator
+// (sim::Machine) is serial and never uses it.
 //
 // The executor is deliberately dumb: run(count, fn) hands the indices
 // [0, count) to a fixed pool of worker threads and blocks until every task
-// finished. Determinism is the Machine's job — tile phases log their
-// events and the machine replays the logs serially in ascending tile-ID
-// order (DESIGN.md §11) — so the executor only provides raw concurrency,
-// and any thread count, including 1, produces bit-identical simulation
-// results.
+// finished. Determinism is the caller's job — native kernel tasks write
+// only task-exclusive output slots (DESIGN.md §14) — so the executor only
+// provides raw concurrency, and any thread count, including 1, produces
+// bit-identical results.
 #pragma once
 
 #include <condition_variable>
@@ -38,11 +39,6 @@ class ParallelExecutor {
   /// completion. Not reentrant. The first exception a task throws is
   /// rethrown here (remaining tasks still drain).
   void run(std::uint32_t count, const std::function<void(std::uint32_t)>& fn);
-
-  /// COSPARSE_SIM_THREADS resolution: the parsed value clamped to
-  /// [0, 256], or 0 when the variable is unset/empty/non-numeric
-  /// (0 means "simulate serially").
-  [[nodiscard]] static std::uint32_t threads_from_env();
 
  private:
   void worker();

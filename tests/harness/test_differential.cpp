@@ -1,38 +1,31 @@
-// Differential harness for the tile-parallel simulation engine.
+// Differential harness: host thread counts never reach the simulator.
 //
 // The oracle is the full run report: make_run_report() serializes every
 // observable of a run — cycle counts, global and per-tile Stats, derived
 // rates, the region-attributed memory profile and the decision audit
-// trail — so byte-equality of the serialized report between a serial
-// (sim_threads = 0) engine and a parallel one is the strongest check we
-// can make. Machine::for_tiles guarantees it for every thread count
-// (DESIGN.md §11); these tests enforce the guarantee for every sw/hw
-// configuration pair and a spread of thread counts, including under the
-// full auto-reconfiguring decision flow.
+// trail — so byte-equality of the serialized report between a
+// sim_threads = 0 engine and one asking for N threads is the strongest
+// check we can make. The simulator is serial (Machine::for_tiles,
+// DESIGN.md §11); these tests enforce that `sim_threads` cannot change a
+// sim-mode result, for every sw/hw configuration pair and a spread of
+// thread counts, including under the full auto-reconfiguring decision
+// flow.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <tuple>
 #include <utility>
 
-#include "kernels/address_map.h"
-#include "kernels/frontier.h"
-#include "kernels/ip_spmv.h"
-#include "kernels/op_spmv.h"
-#include "kernels/partition.h"
-#include "kernels/region_plan.h"
 #include "kernels/semiring.h"
 #include "runtime/engine.h"
 #include "runtime/report.h"
 #include "sim/machine.h"
-#include "sim/parallel.h"
 #include "sim/profile.h"
 #include "sparse/generate.h"
 
 namespace cosparse {
 namespace {
 
-using kernels::DenseFrontier;
 using kernels::PlainSpmv;
 using runtime::Engine;
 using runtime::EngineOptions;
@@ -47,8 +40,8 @@ sparse::Coo test_matrix() {
 }
 
 /// Pinned-configuration engine run -> serialized run report. `threads = 0`
-/// forces serial simulation even when COSPARSE_SIM_THREADS is set, so the
-/// reference leg of every comparison is genuinely the serial engine.
+/// asks for no host threads even when COSPARSE_SIM_THREADS is set, so the
+/// reference leg of every comparison requests no parallelism at all.
 std::string pinned_report(SwConfig sw, sim::HwConfig hw,
                           std::uint32_t threads) {
   EngineOptions opts;
@@ -129,72 +122,6 @@ TEST(DifferentialHarnessAuto, ThreadCountsAgreeWithEachOther) {
   // Transitivity safety net: 2 and 8 threads must also match each other
   // (they do if both match serial, but a direct check localizes failures).
   EXPECT_EQ(auto_report(2), auto_report(8));
-}
-
-// Machine-level differential: drive the kernels directly (no engine, no
-// decision layer) and compare cycles + stats + profile between immediate
-// mode and an attached executor.
-template <class S>
-std::string machine_kernel_report(sim::HwConfig hw, bool outer,
-                                  sim::ParallelExecutor* exec, const S& sr) {
-  const sparse::Coo m = test_matrix();
-  const sim::SystemConfig cfg = sim::SystemConfig::transmuter(4, 4);
-  sim::Machine machine(cfg, hw);
-  sim::MemProfiler prof;
-  machine.set_profiler(&prof);
-  machine.set_executor(exec);
-  kernels::AddressMap amap(machine);
-  Json doc = Json::object();
-  if (outer) {
-    const auto striped =
-        kernels::OpStripedMatrix::build(m, cfg.num_tiles, true);
-    const auto x = sparse::random_sparse_vector(kDim, 0.05, 7);
-    const auto out = kernels::run_outer_product(machine, amap, striped, x,
-                                                nullptr, sr);
-    doc["touched"] = out.y.nnz();
-  } else {
-    const Index vb =
-        hw == sim::HwConfig::kSCS ? kernels::default_vblock_cols(cfg) : 0;
-    const auto part =
-        kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), vb, true);
-    const auto x = DenseFrontier::from_sparse(
-        sparse::random_sparse_vector(kDim, 0.05, 7), sr.vector_identity());
-    const auto out = kernels::run_inner_product(machine, amap, part, x, sr);
-    doc["touched"] = out.num_touched;
-  }
-  doc["cycles"] = machine.cycles();
-  doc["stats"] = machine.stats().to_json();
-  Json tiles = Json::array();
-  for (const auto& t : machine.tile_stats()) tiles.push_back(t.to_json());
-  doc["tile_stats"] = std::move(tiles);
-  doc["profile"] = prof.to_json();
-  return doc.dump(1);
-}
-
-TEST(DifferentialHarnessMachine, KernelsBitIdenticalUnderExecutor) {
-  sim::ParallelExecutor exec(3);
-  for (const bool outer : {false, true}) {
-    const auto hw = outer ? sim::HwConfig::kPC : sim::HwConfig::kSC;
-    EXPECT_EQ(machine_kernel_report(hw, outer, nullptr, PlainSpmv{}),
-              machine_kernel_report(hw, outer, &exec, PlainSpmv{}))
-        << (outer ? "OP" : "IP");
-    EXPECT_EQ(
-        machine_kernel_report(hw, outer, nullptr, kernels::SsspSemiring{}),
-        machine_kernel_report(hw, outer, &exec, kernels::SsspSemiring{}))
-        << (outer ? "OP" : "IP") << " (tropical)";
-  }
-}
-
-TEST(DifferentialHarnessMachine, SpmConfigsBitIdenticalUnderExecutor) {
-  sim::ParallelExecutor exec(2);
-  // SCS exercises the SPM-fill log path; PS the direct-to-L2 path.
-  EXPECT_EQ(machine_kernel_report(sim::HwConfig::kSCS, false, nullptr,
-                                  PlainSpmv{}),
-            machine_kernel_report(sim::HwConfig::kSCS, false, &exec,
-                                  PlainSpmv{}));
-  EXPECT_EQ(
-      machine_kernel_report(sim::HwConfig::kPS, true, nullptr, PlainSpmv{}),
-      machine_kernel_report(sim::HwConfig::kPS, true, &exec, PlainSpmv{}));
 }
 
 }  // namespace

@@ -3,8 +3,7 @@
 // degenerate shapes real frontiers produce (empty frontier, empty rows and
 // columns, dense columns, single-element matrices). For every seed both
 // kernels must agree with the scalar reference under an arithmetic
-// (PlainSpmv) and a tropical (SsspSemiring) semiring, and a sample of
-// seeds re-runs under a 2-thread executor, which must not change results.
+// (PlainSpmv) and a tropical (SsspSemiring) semiring.
 //
 // The lint bridge property at the bottom ties the static verifier to the
 // simulator: every generated plan that lints clean must also simulate
@@ -24,7 +23,6 @@
 #include "kernels/semiring.h"
 #include "runtime/engine.h"
 #include "sim/machine.h"
-#include "sim/parallel.h"
 #include "sparse/generate.h"
 #include "verify/plan.h"
 #include "verify/verify.h"
@@ -84,11 +82,9 @@ double density_for_seed(std::uint64_t seed) {
 
 template <class S>
 void check_ip(const sparse::Coo& m, const sparse::SparseVector& x,
-              const S& sr, sim::ParallelExecutor* exec,
-              const std::string& what) {
+              const S& sr, const std::string& what) {
   const sim::SystemConfig cfg = sim::SystemConfig::transmuter(2, 2);
   sim::Machine machine(cfg, sim::HwConfig::kSC);
-  machine.set_executor(exec);
   kernels::AddressMap amap(machine);
   const auto part =
       kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), 0, true);
@@ -104,11 +100,9 @@ void check_ip(const sparse::Coo& m, const sparse::SparseVector& x,
 
 template <class S>
 void check_op(const sparse::Coo& m, const sparse::SparseVector& x,
-              const S& sr, sim::ParallelExecutor* exec,
-              const std::string& what) {
+              const S& sr, const std::string& what) {
   const sim::SystemConfig cfg = sim::SystemConfig::transmuter(2, 2);
   sim::Machine machine(cfg, sim::HwConfig::kPC);
-  machine.set_executor(exec);
   kernels::AddressMap amap(machine);
   const auto striped = kernels::OpStripedMatrix::build(m, cfg.num_tiles, true);
   const auto got =
@@ -130,22 +124,16 @@ void check_op(const sparse::Coo& m, const sparse::SparseVector& x,
 }
 
 TEST(PropertyHarness, KernelsMatchScalarReferenceAcross200Seeds) {
-  sim::ParallelExecutor exec(2);
   for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
     const sparse::Coo m = matrix_for_seed(seed);
     const auto x = sparse::random_sparse_vector(
         m.cols(), density_for_seed(seed), seed ^ 0xfeedULL);
     const std::string what = "seed " + std::to_string(seed);
-    // Arithmetic and tropical semirings, serial machines.
-    check_ip(m, x, PlainSpmv{}, nullptr, what + " IP/plain");
-    check_op(m, x, PlainSpmv{}, nullptr, what + " OP/plain");
-    check_ip(m, x, SsspSemiring{}, nullptr, what + " IP/sssp");
-    check_op(m, x, SsspSemiring{}, nullptr, what + " OP/sssp");
-    // A sample of seeds re-runs under the parallel executor.
-    if (seed % 8 == 3) {
-      check_ip(m, x, PlainSpmv{}, &exec, what + " IP/plain/mt");
-      check_op(m, x, PlainSpmv{}, &exec, what + " OP/plain/mt");
-    }
+    // Arithmetic and tropical semirings.
+    check_ip(m, x, PlainSpmv{}, what + " IP/plain");
+    check_op(m, x, PlainSpmv{}, what + " OP/plain");
+    check_ip(m, x, SsspSemiring{}, what + " IP/sssp");
+    check_op(m, x, SsspSemiring{}, what + " OP/sssp");
   }
 }
 
@@ -157,12 +145,12 @@ TEST(PropertyHarness, SingleEntryMatricesAndEmptyFrontiers) {
     const std::string what = "single-entry seed " + std::to_string(seed);
     // Full frontier: exactly the one element lands.
     const auto full = sparse::random_sparse_vector(n, 1.0, seed);
-    check_ip(m, full, PlainSpmv{}, nullptr, what);
-    check_op(m, full, PlainSpmv{}, nullptr, what);
+    check_ip(m, full, PlainSpmv{}, what);
+    check_op(m, full, PlainSpmv{}, what);
     // Empty frontier: nothing lands, kernels must not touch anything.
     const sparse::SparseVector empty(n);
-    check_ip(m, empty, PlainSpmv{}, nullptr, what + " empty");
-    check_op(m, empty, PlainSpmv{}, nullptr, what + " empty");
+    check_ip(m, empty, PlainSpmv{}, what + " empty");
+    check_op(m, empty, PlainSpmv{}, what + " empty");
   }
 }
 

@@ -1,12 +1,11 @@
-// Soak test for the tile-parallel simulation engine (ctest -L soak; built
-// only under -DCOSPARSE_SOAK=ON and excluded from the default suite).
+// Soak test for the simulator (ctest -L soak; built only under
+// -DCOSPARSE_SOAK=ON and excluded from the default suite).
 //
-// A 64-tile machine runs ten thousand PageRank-style SpMV iterations under
-// the parallel executor. The point is longevity, not correctness of a
-// single step (the differential and property harnesses cover that): the
-// clock must advance monotonically on every iteration, Stats counters must
-// never run backwards or wrap, and the executor must survive ~640k tile
-// phases without deadlock or drift.
+// A 64-tile machine runs ten thousand PageRank-style SpMV iterations with
+// sim_threads set (which a sim-mode engine ignores). The point is
+// longevity, not correctness of a single step (the differential and
+// property harnesses cover that): the clock must advance monotonically on
+// every iteration, and Stats counters must never run backwards or wrap.
 #include <gtest/gtest.h>
 
 #include <cmath>

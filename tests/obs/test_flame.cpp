@@ -49,7 +49,7 @@ TEST(FoldedProfile, EmptyTextParsesToEmptyProfile) {
 
 TEST(FoldedProfile, PhaseFrameDetection) {
   EXPECT_TRUE(is_phase_frame("engine.spmv"));
-  EXPECT_TRUE(is_phase_frame("sim.log_fill"));
+  EXPECT_TRUE(is_phase_frame("sim.exec"));
   EXPECT_TRUE(is_phase_frame("graph.bfs"));
   EXPECT_TRUE(is_phase_frame("(untagged)"));
   EXPECT_FALSE(is_phase_frame("main"));                // no dot
