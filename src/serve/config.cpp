@@ -1,195 +1,248 @@
 #include "serve/config.h"
 
+#include <charconv>
+#include <cstddef>
 #include <limits>
+#include <type_traits>
+#include <utility>
+#include <variant>
 
 #include "common/error.h"
+#include "serve/json_read.h"
+#include "serve/request.h"
+#include "sparse/datasets.h"
 
 namespace cosparse::serve {
 
 namespace {
 
-[[noreturn]] void bad(const std::string& field, const std::string& why) {
-  throw Error("serve_config: field '" + field + "' " + why);
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-std::uint64_t get_u64(const Json& v, const std::string& field) {
-  if (v.type() != Json::Type::kInt) bad(field, "must be an integer");
-  const std::int64_t raw = v.as_int();
-  if (raw < 0) bad(field, "must be >= 0");
-  return static_cast<std::uint64_t>(raw);
-}
+/// Why a string (or list entry) is not allowed; empty when it is.
+using Allowed = std::string (*)(const std::string&);
 
-std::uint32_t get_u32(const Json& v, const std::string& field) {
-  const std::uint64_t wide = get_u64(v, field);
-  if (wide > std::numeric_limits<std::uint32_t>::max())
-    bad(field, "is out of range");
-  return static_cast<std::uint32_t>(wide);
-}
+constexpr std::string_view kSchedulers[] = {"fcfs", "same-dataset-batch"};
+constexpr std::string_view kExecModes[] = {"sim", "native"};
+constexpr std::string_view kArrivals[] = {"poisson", "bursty"};
 
-double get_real(const Json& v, const std::string& field) {
-  if (!v.is_number()) bad(field, "must be a number");
-  return v.as_double();
-}
-
-std::string get_string(const Json& v, const std::string& field) {
-  if (!v.is_string()) bad(field, "must be a string");
-  return v.as_string();
-}
-
-std::vector<std::string> get_string_list(const Json& v,
-                                         const std::string& field) {
-  if (!v.is_array()) bad(field, "must be an array of strings");
-  std::vector<std::string> out;
-  for (const Json& item : v.items()) {
-    if (!item.is_string()) bad(field, "must be an array of strings");
-    out.push_back(item.as_string());
+template <const auto& Choices>
+std::string one_of(const std::string& s) {
+  std::string why;
+  for (const std::string_view choice : Choices) {
+    if (s == choice) return {};
+    why += (why.empty() ? "must be \"" : " or \"") + std::string(choice) + "\"";
   }
-  return out;
+  return why;
 }
 
-TrafficConfig traffic_from_json(const Json& doc) {
-  if (!doc.is_object()) bad("traffic", "must be an object");
-  TrafficConfig t;
-  for (const auto& [key, value] : doc.members()) {
-    const std::string path = "traffic." + key;
-    if (key == "arrival") {
-      t.arrival = get_string(value, path);
-    } else if (key == "request_interval_us") {
-      t.request_interval_us = get_u64(value, path);
-    } else if (key == "request_total_cnt") {
-      t.request_total_cnt = get_u32(value, path);
-    } else if (key == "burst_factor") {
-      t.burst_factor = get_real(value, path);
-    } else if (key == "burst_fraction") {
-      t.burst_fraction = get_real(value, path);
-    } else if (key == "burst_period_us") {
-      t.burst_period_us = get_u64(value, path);
-    } else if (key == "seed") {
-      t.seed = get_u64(value, path);
-    } else if (key == "datasets") {
-      t.datasets = get_string_list(value, path);
-    } else if (key == "algos") {
-      t.algos = get_string_list(value, path);
-    } else if (key == "tenants") {
-      t.tenants = get_u32(value, path);
-    } else {
-      bad(path, "is not a known traffic field");
+/// Allowed when Parse, which throws cosparse::Error on bad input, takes s.
+template <auto Parse>
+std::string parses(const std::string& s) {
+  try {
+    (void)Parse(s);
+    return {};
+  } catch (const Error& e) {
+    return std::string("is invalid: ") + e.what();
+  }
+}
+
+/// A field's constraint; only the part for the field's kind applies.
+struct Rule {
+  std::uint64_t min = 0;  ///< integers: smallest legal value
+  double lo = -kInf;      ///< reals: v >= lo, or lo < v < hi when open
+  double hi = kInf;
+  bool open = false;
+  /// Strings, and every entry of a list (which must also be non-empty).
+  Allowed allowed = nullptr;
+  const char* disallowed_id = "serve.bad-value";
+};
+
+/// One row of a block's field table. The type of the member it fills is
+/// the field's JSON kind: u32 / u64 / real / string / string list.
+template <class Block>
+struct Field {
+  std::string_view name;
+  std::variant<std::uint32_t Block::*, std::uint64_t Block::*,
+               double Block::*, std::string Block::*,
+               std::vector<std::string> Block::*>
+      member;
+  Rule rule;
+};
+
+constexpr Field<ServeConfig> kTopFields[] = {
+    {"scheduler_type", &ServeConfig::scheduler_type,
+     {.allowed = one_of<kSchedulers>}},
+    {"max_active_reqs", &ServeConfig::max_active_reqs, {.min = 1}},
+    {"max_batch_size", &ServeConfig::max_batch_size, {.min = 1}},
+    {"virtual_workers", &ServeConfig::virtual_workers, {.min = 1}},
+    {"cache_budget_bytes", &ServeConfig::cache_budget_bytes, {}},
+    {"exec_mode", &ServeConfig::exec_mode, {.allowed = one_of<kExecModes>}},
+    {"system", &ServeConfig::system, {.allowed = parses<parse_system>}},
+    {"scale", &ServeConfig::scale, {.min = 1}},
+    {"dataset_seed", &ServeConfig::dataset_seed, {}},
+};
+
+constexpr Field<TrafficConfig> kTrafficFields[] = {
+    {"arrival", &TrafficConfig::arrival, {.allowed = one_of<kArrivals>}},
+    {"request_interval_us", &TrafficConfig::request_interval_us, {.min = 1}},
+    {"request_total_cnt", &TrafficConfig::request_total_cnt, {.min = 1}},
+    {"burst_factor", &TrafficConfig::burst_factor, {.lo = 1}},
+    {"burst_fraction", &TrafficConfig::burst_fraction,
+     {.lo = 0, .hi = 1, .open = true}},
+    {"burst_period_us", &TrafficConfig::burst_period_us, {.min = 1}},
+    {"seed", &TrafficConfig::seed, {}},
+    {"datasets", &TrafficConfig::datasets,
+     {.allowed = parses<sparse::DatasetRegistry::spec>,
+      .disallowed_id = "serve.unknown-dataset"}},
+    {"algos", &TrafficConfig::algos, {.allowed = parses<algo_from_string>}},
+    {"tenants", &TrafficConfig::tenants, {.min = 1}},
+};
+
+void report(std::vector<ConfigProblem>& out, const std::string& path,
+            const char* id, std::string_view why) {
+  out.push_back({path, id, "field '" + path + "' " + std::string(why)});
+}
+
+/// {finding id, why} when a well-typed value breaks the rule; an empty
+/// why when it holds.
+template <class T>
+std::pair<const char*, std::string> violation(const Rule& r, const T& v) {
+  constexpr const char* kBadValue = "serve.bad-value";
+  if constexpr (std::is_integral_v<T>) {
+    if (v < r.min) return {kBadValue, "must be >= " + std::to_string(r.min)};
+  } else if constexpr (std::is_floating_point_v<T>) {
+    // Bounds print as the document would write them: 1, not 1.000000.
+    const std::string lo = Json(r.lo).dump();
+    if (r.open && !(v > r.lo && v < r.hi))
+      return {kBadValue, "must be in (" + lo + ", " + Json(r.hi).dump() + ")"};
+    if (!r.open && !(v >= r.lo)) return {kBadValue, "must be >= " + lo};
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    if (r.allowed != nullptr) return {r.disallowed_id, r.allowed(v)};
+  } else {
+    if (v.empty()) return {kBadValue, "must not be empty"};
+    for (const std::string& item : v) {
+      if (std::string why = r.allowed(item); !why.empty())
+        return {r.disallowed_id, std::move(why)};
     }
   }
-  return t;
+  return {};
+}
+
+/// Fills the member `key` names from `value`, or records why it cannot;
+/// the member keeps its default on any problem.
+template <class Block, std::size_t N>
+void read_member(const Field<Block> (&table)[N], const std::string& key,
+                 const Json& value, const std::string& path, Block& block,
+                 std::vector<ConfigProblem>& out) {
+  for (const Field<Block>& f : table) {
+    if (f.name != key) continue;
+    return std::visit(
+        [&](auto member) {
+          auto slot = block.*member;
+          if (const std::string_view why = read_json(value, slot);
+              !why.empty())
+            return report(out, path, "serve.bad-type", why);
+          if (auto [id, why] = violation(f.rule, slot); !why.empty())
+            return report(out, path, id, why);
+          block.*member = std::move(slot);
+        },
+        f.member);
+  }
+  report(out, path, "serve.unknown-field", "is not a known serve_config field");
+}
+
+template <class T>
+Json json_of(const T& value) {
+  if constexpr (std::is_same_v<T, std::vector<std::string>>) {
+    Json items = Json::array();
+    for (const std::string& item : value) items.push_back(item);
+    return items;
+  } else {
+    return Json(value);
+  }
+}
+
+/// Writes every member of `table` into `out`, in table order.
+template <class Block, std::size_t N>
+void write_members(const Field<Block> (&table)[N], const Block& block,
+                   Json& out) {
+  for (const Field<Block>& f : table)
+    std::visit([&](auto member) { out[f.name] = json_of(block.*member); },
+               f.member);
 }
 
 }  // namespace
 
-ServeConfig ServeConfig::from_json(const Json& doc) {
-  if (!doc.is_object()) throw Error("serve_config: document is not an object");
+ParsedServeConfig parse_serve_config(const Json& doc) {
+  ParsedServeConfig parsed;
+  std::vector<ConfigProblem>& out = parsed.problems;
+  if (!doc.is_object()) {
+    out.push_back(
+        {"(root)", "serve.bad-document", "document is not an object"});
+    return parsed;
+  }
   const Json* schema = doc.find("schema");
-  if (schema == nullptr || !schema->is_string())
-    bad("schema", "is missing (expected \"" +
-                      std::string(kServeConfigSchema) + "\")");
-  if (schema->as_string() != kServeConfigSchema)
-    bad("schema", "has unexpected value '" + schema->as_string() + "'");
-
-  ServeConfig cfg;
-  bool saw_traffic = false;
+  if (schema == nullptr || !schema->is_string()) {
+    report(out, "schema", "serve.missing-schema",
+           "is missing (expected \"" + std::string(kServeConfigSchema) +
+               "\")");
+  } else if (schema->as_string() != kServeConfigSchema) {
+    // Another document type: its fields would only add noise.
+    report(out, "schema", "serve.wrong-schema",
+           "has unexpected value '" + schema->as_string() + "'");
+    return parsed;
+  }
   for (const auto& [key, value] : doc.members()) {
-    if (key == "schema") {
-      continue;
-    } else if (key == "scheduler_type") {
-      cfg.scheduler_type = get_string(value, key);
-    } else if (key == "max_active_reqs") {
-      cfg.max_active_reqs = get_u32(value, key);
-    } else if (key == "max_batch_size") {
-      cfg.max_batch_size = get_u32(value, key);
-    } else if (key == "virtual_workers") {
-      cfg.virtual_workers = get_u32(value, key);
-    } else if (key == "cache_budget_bytes") {
-      cfg.cache_budget_bytes = get_u64(value, key);
-    } else if (key == "exec_mode") {
-      cfg.exec_mode = get_string(value, key);
-    } else if (key == "system") {
-      cfg.system = get_string(value, key);
-    } else if (key == "scale") {
-      cfg.scale = get_u32(value, key);
-    } else if (key == "dataset_seed") {
-      cfg.dataset_seed = get_u64(value, key);
-    } else if (key == "traffic") {
-      cfg.traffic = traffic_from_json(value);
-      saw_traffic = true;
+    if (key == "schema") continue;
+    if (key != "traffic") {
+      read_member(kTopFields, key, value, key, parsed.config, out);
+    } else if (!value.is_object()) {
+      report(out, key, "serve.bad-type", "must be an object");
     } else {
-      bad(key, "is not a known serve_config field");
+      for (const auto& [tkey, tvalue] : value.members())
+        read_member(kTrafficFields, tkey, tvalue, "traffic." + tkey,
+                    parsed.config.traffic, out);
     }
   }
-  (void)saw_traffic;  // traffic is optional; defaults serve a smoke mix
+  return parsed;
+}
 
-  // Range checks (the same invariants serve_lint reports as findings).
-  if (cfg.scheduler_type != "fcfs" &&
-      cfg.scheduler_type != "same-dataset-batch")
-    bad("scheduler_type", "must be \"fcfs\" or \"same-dataset-batch\"");
-  if (cfg.max_active_reqs == 0) bad("max_active_reqs", "must be >= 1");
-  if (cfg.max_batch_size == 0) bad("max_batch_size", "must be >= 1");
-  if (cfg.virtual_workers == 0) bad("virtual_workers", "must be >= 1");
-  if (cfg.scale == 0) bad("scale", "must be >= 1");
-  if (cfg.exec_mode != "sim" && cfg.exec_mode != "native")
-    bad("exec_mode", "must be \"sim\" or \"native\"");
-  if (cfg.traffic.arrival != "poisson" && cfg.traffic.arrival != "bursty")
-    bad("traffic.arrival", "must be \"poisson\" or \"bursty\"");
-  if (cfg.traffic.request_interval_us == 0)
-    bad("traffic.request_interval_us", "must be >= 1");
-  if (cfg.traffic.burst_factor < 1.0)
-    bad("traffic.burst_factor", "must be >= 1");
-  if (cfg.traffic.burst_fraction <= 0.0 || cfg.traffic.burst_fraction >= 1.0)
-    bad("traffic.burst_fraction", "must be in (0, 1)");
-  if (cfg.traffic.burst_period_us == 0)
-    bad("traffic.burst_period_us", "must be >= 1");
-  if (cfg.traffic.datasets.empty())
-    bad("traffic.datasets", "must name at least one dataset");
-  if (cfg.traffic.algos.empty())
-    bad("traffic.algos", "must name at least one algorithm");
-  if (cfg.traffic.tenants == 0) bad("traffic.tenants", "must be >= 1");
-  return cfg;
+ServeConfig ServeConfig::from_json(const Json& doc) {
+  ParsedServeConfig parsed = parse_serve_config(doc);
+  if (!parsed.problems.empty())
+    throw Error("serve_config: " + parsed.problems.front().message);
+  return std::move(parsed.config);
 }
 
 Json ServeConfig::to_json() const {
   Json j = Json::object();
   j["schema"] = std::string(kServeConfigSchema);
-  j["scheduler_type"] = scheduler_type;
-  j["max_active_reqs"] = max_active_reqs;
-  j["max_batch_size"] = max_batch_size;
-  j["virtual_workers"] = virtual_workers;
-  j["cache_budget_bytes"] = cache_budget_bytes;
-  j["exec_mode"] = exec_mode;
-  j["system"] = system;
-  j["scale"] = scale;
-  j["dataset_seed"] = dataset_seed;
-  Json t = Json::object();
-  t["arrival"] = traffic.arrival;
-  t["request_interval_us"] = traffic.request_interval_us;
-  t["request_total_cnt"] = traffic.request_total_cnt;
-  t["burst_factor"] = traffic.burst_factor;
-  t["burst_fraction"] = traffic.burst_fraction;
-  t["burst_period_us"] = traffic.burst_period_us;
-  t["seed"] = traffic.seed;
-  Json datasets = Json::array();
-  for (const std::string& d : traffic.datasets) datasets.push_back(d);
-  t["datasets"] = std::move(datasets);
-  Json algos = Json::array();
-  for (const std::string& a : traffic.algos) algos.push_back(a);
-  t["algos"] = std::move(algos);
-  t["tenants"] = traffic.tenants;
-  j["traffic"] = std::move(t);
+  write_members(kTopFields, *this, j);
+  write_members(kTrafficFields, traffic, j["traffic"]);
   return j;
 }
 
 sim::SystemConfig parse_system(const std::string& spec) {
-  const auto x = spec.find('x');
-  if (x == std::string::npos || x == 0 || x + 1 >= spec.size())
-    throw Error("serve: system spec must look like 8x8: " + spec);
-  const auto tiles =
-      static_cast<std::uint32_t>(std::stoul(spec.substr(0, x)));
-  const auto pes =
-      static_cast<std::uint32_t>(std::stoul(spec.substr(x + 1)));
-  return sim::SystemConfig::transmuter(tiles, pes);
+  const auto malformed = [&] {
+    return Error("system spec '" + spec +
+                 "' must be <tiles>x<PEs per tile>, like 8x8, with at least "
+                 "one tile and an even PE count >= 2");
+  };
+  // Plain decimal on both sides: no sign, no spaces, no u32 overflow.
+  const char* end = spec.data() + spec.size();
+  std::uint32_t tiles = 0;
+  std::uint32_t pes = 0;
+  const auto t = std::from_chars(spec.data(), end, tiles);
+  if (t.ec != std::errc{} || t.ptr == end || *t.ptr != 'x') throw malformed();
+  const auto p = std::from_chars(t.ptr + 1, end, pes);
+  if (p.ec != std::errc{} || p.ptr != end) throw malformed();
+  try {
+    return sim::SystemConfig::transmuter(tiles, pes);
+  } catch (const Error&) {
+    // transmuter() owns the tile/PE rules, but its CHECK text names a
+    // source line rather than the spec.
+    throw malformed();
+  }
 }
 
 }  // namespace cosparse::serve

@@ -73,18 +73,33 @@ struct ServeConfig {
 
   TrafficConfig traffic;
 
-  /// Strict parse of a cosparse.serve_config/v1 document. Throws
-  /// cosparse::Error naming the offending field on wrong schema, type
-  /// mismatches, unknown fields or out-of-range values. (serve_lint.h
-  /// runs the same checks as findings for CI.)
+  /// Strict parse of a cosparse.serve_config/v1 document: throws the
+  /// first of parse_serve_config()'s problems as cosparse::Error
+  /// ("serve_config: field '<path>' <why>").
   [[nodiscard]] static ServeConfig from_json(const Json& doc);
   /// Inverse of from_json (schema tag included).
   [[nodiscard]] Json to_json() const;
 };
 
-/// Parses the config's "AxB" system spec (A tiles of B PEs; same grammar
-/// as the bench suite's --system option). Throws cosparse::Error when
-/// malformed.
+/// One problem in a serve_config document.
+struct ConfigProblem {
+  std::string path;     ///< dotted field path; "(root)" for the document
+  std::string id;       ///< finding id, e.g. "serve.bad-type"
+  std::string message;  ///< e.g. "field 'traffic.algos' must not be empty"
+};
+
+struct ParsedServeConfig {
+  ServeConfig config;  ///< legal fields set, defaults for all the others
+  std::vector<ConfigProblem> problems;  ///< in document order
+};
+
+/// The one definition of cosparse.serve_config/v1: walks the document
+/// against the schema's field tables and collects every problem. from_json
+/// throws the first; cosparse-lint serve reports them all.
+[[nodiscard]] ParsedServeConfig parse_serve_config(const Json& doc);
+
+/// Parses the config's "AxB" system spec: A >= 1 tiles of B PEs, B even
+/// and >= 2, both plain decimal. Throws cosparse::Error when malformed.
 [[nodiscard]] sim::SystemConfig parse_system(const std::string& spec);
 
 }  // namespace cosparse::serve

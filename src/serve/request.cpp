@@ -1,52 +1,9 @@
 #include "serve/request.h"
 
-#include <limits>
-
 #include "common/error.h"
+#include "serve/json_read.h"
 
 namespace cosparse::serve {
-
-namespace {
-
-/// Reads a non-negative integer field into `slot`; reports type errors
-/// and negative values through `out`. Returns false when the parse
-/// already failed (caller stops).
-template <class T>
-bool read_uint(const Json& v, const char* field, T& slot,
-               ParsedRequest& out) {
-  if (v.type() != Json::Type::kInt) {
-    out.error = std::string("field '") + field + "' must be an integer";
-    out.error_field = field;
-    return false;
-  }
-  const std::int64_t raw = v.as_int();
-  if (raw < 0) {
-    out.error = std::string("field '") + field + "' must be >= 0";
-    out.error_field = field;
-    return false;
-  }
-  const auto wide = static_cast<std::uint64_t>(raw);
-  if (wide > static_cast<std::uint64_t>(std::numeric_limits<T>::max())) {
-    out.error = std::string("field '") + field + "' is out of range";
-    out.error_field = field;
-    return false;
-  }
-  slot = static_cast<T>(wide);
-  return true;
-}
-
-bool read_string(const Json& v, const char* field, std::string& slot,
-                 ParsedRequest& out) {
-  if (!v.is_string()) {
-    out.error = std::string("field '") + field + "' must be a string";
-    out.error_field = field;
-    return false;
-  }
-  slot = v.as_string();
-  return true;
-}
-
-}  // namespace
 
 const char* to_string(Algo a) {
   switch (a) {
@@ -87,35 +44,36 @@ ParsedRequest parse_request(const Json& doc) {
     return out;
   }
   QueryRequest req;
-  bool saw_dataset = false;
   bool saw_algo = false;
   for (const auto& [key, value] : doc.members()) {
+    std::string_view why;
     if (key == "id") {
-      if (!read_uint(value, "id", req.id, out)) return out;
+      why = read_json(value, req.id);
     } else if (key == "arrival_us") {
-      if (!read_uint(value, "arrival_us", req.arrival_us, out)) return out;
+      why = read_json(value, req.arrival_us);
     } else if (key == "tenant") {
-      if (!read_string(value, "tenant", req.tenant, out)) return out;
+      why = read_json(value, req.tenant);
     } else if (key == "dataset") {
-      if (!read_string(value, "dataset", req.dataset, out)) return out;
-      saw_dataset = true;
+      why = read_json(value, req.dataset);
     } else if (key == "algo") {
       std::string name;
-      if (!read_string(value, "algo", name, out)) return out;
-      try {
-        req.algo = algo_from_string(name);
-      } catch (const Error& e) {
-        out.error = e.what();
-        out.error_field = "algo";
-        return out;
+      why = read_json(value, name);
+      if (why.empty()) {
+        try {
+          req.algo = algo_from_string(name);
+        } catch (const Error& e) {
+          out.error = e.what();
+          out.error_field = "algo";
+          return out;
+        }
       }
       saw_algo = true;
     } else if (key == "source") {
-      if (!read_uint(value, "source", req.source, out)) return out;
+      why = read_json(value, req.source);
     } else if (key == "iterations") {
-      if (!read_uint(value, "iterations", req.iterations, out)) return out;
+      why = read_json(value, req.iterations);
     } else if (key == "seed") {
-      if (!read_uint(value, "seed", req.seed, out)) return out;
+      why = read_json(value, req.seed);
     } else {
       // Unknown fields are hard errors: silently dropping them would turn
       // a client schema drift into silently-wrong answers.
@@ -123,8 +81,13 @@ ParsedRequest parse_request(const Json& doc) {
       out.error_field = key;
       return out;
     }
+    if (!why.empty()) {
+      out.error = "field '" + key + "' " + std::string(why);
+      out.error_field = key;
+      return out;
+    }
   }
-  if (!saw_dataset || req.dataset.empty()) {
+  if (req.dataset.empty()) {
     out.error = "missing mandatory field 'dataset'";
     out.error_field = "dataset";
     return out;

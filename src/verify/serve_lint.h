@@ -1,15 +1,11 @@
 // Pass: serving-daemon config lint (cosparse.serve_config/v1).
 //
-// Validates the documents cosparsed and bench/serve_load replay — the
-// same invariants ServeConfig::from_json enforces by throwing, but
-// emitted as structured findings so CI can lint every committed trace
-// config (bench/traces/*.serve.json) without running the daemon. On top
-// of the structural checks it cross-references the dataset registry
-// (unknown Table III names are errors at admission time; better to catch
-// them in review) and flags configurations that are legal but
-// self-defeating: a batch size admission control can never fill, or a
-// cache budget smaller than the largest dataset the traffic mix can
-// request (every load would run over budget).
+// Lint is the strict parser plus three warnings: every error is one of
+// serve::parse_serve_config()'s problems, so a document lints clean of
+// errors exactly when ServeConfig::from_json accepts it. The warnings flag
+// legal configs that defeat themselves: a batch admission can never fill,
+// a cache budget below the largest requested dataset, and burst knobs on
+// a poisson trace.
 #pragma once
 
 #include <vector>

@@ -126,6 +126,11 @@ TEST(ServeConfig, RangeChecksReject) {
   rejects("scale", Json(std::int64_t{0}));
   rejects("exec_mode", Json(std::string("quantum")));
   rejects("max_active_reqs", Json(std::int64_t{-3}));
+  rejects("max_active_reqs", Json(std::int64_t{5000000000}));  // > u32
+  // Malformed system specs throw cosparse::Error, never a std exception.
+  for (const char* spec : {"abx8", "8x", "x8", "0x8", "8x1", "8x3", "-8x8",
+                           " 8x8", "8x8x8", "", "4294967296x8"})
+    rejects("system", Json(std::string(spec)));
 }
 
 TEST(ServeConfig, TrafficRangeChecksReject) {
@@ -146,6 +151,45 @@ TEST(ServeConfig, TrafficRangeChecksReject) {
   rejects("algos", Json::array());
   rejects("tenants", Json(std::int64_t{0}));
   rejects("datasets", Json(std::string("twitter")));  // not an array
+  rejects("request_total_cnt", Json(std::int64_t{0}));
+  rejects("algos", Json::parse(R"(["bfs", "dijkstra"])"));
+  rejects("datasets", Json::parse(R"(["twitter", "friendster"])"));
+}
+
+TEST(ServeConfig, ErrorNamesTheFieldPath) {
+  Json doc = minimal_doc();
+  doc["traffic"] = Json::parse(R"({"algos": ["dijkstra"]})");
+  try {
+    (void)ServeConfig::from_json(doc);
+    FAIL() << "expected Error";
+  } catch (const Error& e) {
+    EXPECT_EQ(std::string(e.what()).rfind("serve_config: field "
+                                          "'traffic.algos' ", 0),
+              0u)
+        << e.what();
+  }
+}
+
+TEST(ServeConfig, ParseCollectsEveryProblemAndKeepsLegalFields) {
+  Json doc = minimal_doc();
+  doc["max_active_reqs"] = std::string("lots");
+  doc["max_batch_size"] = 3;
+  doc["warp_speed"] = true;
+  doc["traffic"] = Json::parse(R"({"request_total_cnt": 0, "seed": 5})");
+  const ParsedServeConfig parsed = parse_serve_config(doc);
+  ASSERT_EQ(parsed.problems.size(), 3u);
+  EXPECT_EQ(parsed.problems[0].path, "max_active_reqs");
+  EXPECT_EQ(parsed.problems[0].id, "serve.bad-type");
+  EXPECT_EQ(parsed.problems[1].path, "warp_speed");
+  EXPECT_EQ(parsed.problems[1].id, "serve.unknown-field");
+  EXPECT_EQ(parsed.problems[2].path, "traffic.request_total_cnt");
+  EXPECT_EQ(parsed.problems[2].id, "serve.bad-value");
+  // Rejected fields keep their defaults; legal ones are set.
+  EXPECT_EQ(parsed.config.max_active_reqs, ServeConfig{}.max_active_reqs);
+  EXPECT_EQ(parsed.config.max_batch_size, 3u);
+  EXPECT_EQ(parsed.config.traffic.request_total_cnt,
+            TrafficConfig{}.request_total_cnt);
+  EXPECT_EQ(parsed.config.traffic.seed, 5u);
 }
 
 }  // namespace

@@ -220,6 +220,25 @@ TEST(CosparseLintCli, UsageErrors) {
   EXPECT_EQ(run_cli({"plan", "--bogus-flag"}, nullptr), 2);
 }
 
+TEST(CosparseLintCli, TruncatedInputIsReportedUnderItsSubcommand) {
+  const auto serve = write_temp("truncated.serve.json",
+                                R"({"schema": "cosparse.serve_config/v1", )"
+                                R"("traffic": {"seed": )");
+  std::string text;
+  EXPECT_EQ(run_cli({"serve", serve, "--json"}, &text), 1);
+  const Json doc = Json::parse(text);
+  const Json& subject = doc.find("subjects")->items()[0];
+  const Json& finding = subject.find("findings")->items()[0];
+  EXPECT_EQ(finding.find("pass")->as_string(), "serve_config");
+  EXPECT_EQ(finding.find("id")->as_string(), "serve.unparseable");
+
+  const auto report = write_temp("truncated.report.json",
+                                 R"({"schema": "cosparse.run_report/v1", )");
+  EXPECT_EQ(run_cli({"report", report}, &text), 1);
+  EXPECT_NE(text.find("error[report.unparseable]"), std::string::npos)
+      << text;
+}
+
 TEST(CosparseLintCli, ReportOutWritesDocument) {
   const auto plan = write_temp("clean3.plan.json", kQuickstartPlan);
   const auto out_path = ::testing::TempDir() + "lint_report.json";

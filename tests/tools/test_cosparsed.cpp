@@ -71,6 +71,13 @@ TEST(Cosparsed, UsageErrors) {
   EXPECT_EQ(run({"--config", tiny_config_path(), "--exec-mode", "quantum",
                  "--report-out", ""}),
             2);
+  // A malformed system spec is a config error, not an abort.
+  const std::string bad_system = write_temp(
+      "bad_system_cfg.json",
+      R"({"schema": "cosparse.serve_config/v1", "system": "abx8"})");
+  EXPECT_EQ(run({"--config", bad_system, "--report-out", ""}, nullptr, &err),
+            2);
+  EXPECT_NE(err.find("system"), std::string::npos) << err;
 }
 
 TEST(Cosparsed, ReplayWritesAWellFormedReport) {

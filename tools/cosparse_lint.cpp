@@ -206,8 +206,13 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
                        ? verify::lint_serve_config_json(doc, path)
                        : verify::lint_plan_json(doc, path);
         } catch (const Error& e) {
+          // Reported under the pass the subcommand's findings carry.
+          const char* pass = opts.subcommand == "report"  ? "report_schema"
+                             : opts.subcommand == "serve" ? "serve_config"
+                                                          : "plan";
           report.add(verify::Finding{
-              "plan", "plan.unparseable", verify::Severity::kError, e.what(),
+              pass, opts.subcommand + ".unparseable",
+              verify::Severity::kError, e.what(),
               verify::Location::document("(root)")});
         }
       }
