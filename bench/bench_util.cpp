@@ -123,7 +123,6 @@ struct ObsState {
   std::string trace_path;
   std::string report_path;
   obs::Trace trace;  ///< disabled until a trace output is requested
-  obs::MetricsRegistry metrics;
   obs::Report report{"bench"};
   std::unique_ptr<sim::MemProfiler> profiler;  ///< armed by --profile
   std::unique_ptr<sim::ParallelExecutor> executor;  ///< armed by --sim-threads
@@ -239,8 +238,6 @@ void init_observability(const CliParser& cli) {
 
 obs::Trace* trace() { return &obs_state().trace; }
 
-obs::MetricsRegistry& metrics() { return obs_state().metrics; }
-
 sim::MemProfiler* profiler() { return obs_state().profiler.get(); }
 
 sim::ParallelExecutor* executor() { return obs_state().executor.get(); }
@@ -252,7 +249,6 @@ native::ExecMode exec_mode() { return obs_state().exec_mode; }
 runtime::EngineOptions engine_options() {
   runtime::EngineOptions o;
   o.trace = trace();
-  o.metrics = &metrics();
   o.executor = executor();
   o.telemetry = telemetry();
   o.exec_mode = exec_mode();
@@ -286,7 +282,6 @@ int finish_run() {
     if (st.profiler != nullptr) {
       st.report.set("memory_profile", st.profiler->to_json());
     }
-    st.report.set("metrics", st.metrics.to_json());
     if (st.telemetry.armed()) {
       st.report.set("telemetry", st.telemetry.telemetry()->report_json());
     }

@@ -16,7 +16,6 @@
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
@@ -92,9 +91,6 @@ void init_observability(const CliParser& cli);
 /// sim::Machine::set_trace.
 [[nodiscard]] obs::Trace* trace();
 
-/// The process-wide metrics registry. Pass into EngineOptions::metrics.
-[[nodiscard]] obs::MetricsRegistry& metrics();
-
 /// The process-wide executor for native kernels, or nullptr when they run
 /// serially. Resolved from --sim-threads (falling back to the
 /// COSPARSE_SIM_THREADS environment variable); engine_options() forwards
@@ -123,8 +119,8 @@ void init_observability(const CliParser& cli);
 /// obs::TelemetrySession.
 [[nodiscard]] obs::Telemetry* telemetry();
 
-/// Default EngineOptions with the process-wide trace/metrics/telemetry
-/// sinks already attached; harnesses adjust the remaining fields as usual.
+/// Default EngineOptions with the process-wide trace/telemetry sinks
+/// already attached; harnesses adjust the remaining fields as usual.
 [[nodiscard]] runtime::EngineOptions engine_options();
 
 /// Sets a top-level section of the run report (e.g. "config", "dataset").
@@ -134,8 +130,8 @@ void report_set(const std::string& key, Json value);
 /// load imbalance.
 [[nodiscard]] Json to_json(const KernelRun& run);
 
-/// Folds the metrics registry (and, when armed, the telemetry section)
-/// into the report, then writes the report and trace to the paths
+/// Folds the memory profile and, when armed, the telemetry and CPU-profile
+/// sections into the report, then writes the report and trace to the paths
 /// requested at init_observability() time (no-op for outputs that were
 /// not requested). Finalizes the telemetry session — final snapshot,
 /// exporter drain, SLO verdict — and returns the exit code the binary

@@ -92,8 +92,7 @@ int main(int argc, char** argv) {
   Table t({"iter", "density", "IP SC", "IP SCS", "OP SC", "OP PC", "OP PS",
            "best SW", "best HW", "chosen"});
 
-  runtime::DecisionEngine decider(sys);
-  decider.set_metrics(&bench::metrics());
+  const runtime::DecisionEngine decider(sys);
   std::vector<Value> dist(n, kernels::kInf);
   dist[source] = 0;
   sparse::SparseVector frontier(n);

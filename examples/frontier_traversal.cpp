@@ -14,7 +14,6 @@
 #include "common/threads.h"
 #include "graph/algorithms.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -84,13 +83,11 @@ int main(int argc, char** argv) {
   sim::MemProfiler profiler;
   const bool profile = cli.flag("profile");
 
-  // Shared observability sinks: all three traversal engines publish into
-  // the same trace/metrics, so algo.bfs.*, algo.cc.* and algo.sssp.* land
-  // in one registry and one timeline.
+  // Shared trace sink: all three traversal engines publish into one
+  // timeline, with algo.bfs, algo.cc and algo.sssp spans.
   std::string trace_path = cli.str("trace-out");
   if (trace_path.empty()) trace_path = obs::trace_path_from_env();
   obs::Trace trace(!trace_path.empty());
-  obs::MetricsRegistry metrics;
   runtime::EngineOptions obs_opts;
   const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
   if (!sim_threads.has_value()) return 2;
@@ -100,9 +97,8 @@ int main(int argc, char** argv) {
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
   obs_opts.trace = &trace;
-  obs_opts.metrics = &metrics;
   // One telemetry stream spans all three traversal engines, like the
-  // trace/metrics sinks: algo.bfs.*, algo.cc.* and algo.sssp.* histograms
+  // trace sink: algo.bfs.*, algo.cc.* and algo.sssp.* histograms
   // accumulate into the same snapshots.
   obs::TelemetrySession telemetry;
   telemetry.init(cli, "frontier_traversal");
@@ -169,9 +165,9 @@ int main(int argc, char** argv) {
               << sssp.stats.sw_switches() << " dataflow switches, "
               << sssp.stats.hw_switches() << " memory reconfigurations\n";
 
-    // The report covers the last engine's machine (the SSSP run) plus the
-    // metrics registry all three traversals shared. Telemetry finalizes
-    // first so its final snapshot and SLO verdict reach the report.
+    // The report covers the last engine (the SSSP run) alone, metrics
+    // included. Telemetry finalizes first so its final snapshot and SLO
+    // verdict reach the report.
     exit_code = telemetry.finalize();
     cpu_profile.finalize();
     if (const std::string path = cli.str("report-out"); !path.empty()) {

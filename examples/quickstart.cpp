@@ -20,7 +20,6 @@
 #include "graph/algorithms.h"
 #include "kernels/semiring.h"
 #include "native/exec_mode.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
@@ -72,11 +71,10 @@ int main(int argc, char** argv) {
 
   // 2. A simulated Transmuter-class system (Table II defaults) and the
   //    engine: it keeps both matrix layouts resident and reconfigures the
-  //    memory hierarchy per SpMV invocation. The trace/metrics sinks are
-  //    optional — without them the engine pays one pointer test per event.
+  //    memory hierarchy per SpMV invocation. The trace sink is optional —
+  //    without it the engine pays one pointer test per event.
   const auto system = sim::SystemConfig::transmuter(4, 8);
   obs::Trace trace(!trace_path.empty());
-  obs::MetricsRegistry metrics;
   runtime::EngineOptions opts;
   const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
   if (!sim_threads.has_value()) return 2;
@@ -86,7 +84,6 @@ int main(int argc, char** argv) {
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
   opts.trace = &trace;
-  opts.metrics = &metrics;
   // Continuous telemetry (off unless --telemetry-interval or
   // COSPARSE_TELEMETRY arms it): streaming histograms snapshotted to
   // JSONL/OpenMetrics, watched by the SLO rules. Tail the JSONL live with

@@ -18,12 +18,13 @@ using runtime::Engine;
 using sparse::SparseVector;
 
 /// Captures engine totals at algorithm start, slices out the algorithm's
-/// own contribution at the end, and publishes it into the engine's
-/// attached observability sinks (algo.<name>.* counters, one "algos" track
-/// span covering the whole run).
-class StatsScope {
+/// own contribution at the end, appends it to the engine's algorithm-run
+/// log (the report's algo.<name>.* counters) and publishes it into the
+/// attached telemetry/trace sinks (one "algos" track span covering the
+/// whole run).
+class AlgoRun {
  public:
-  StatsScope(Engine& eng, const char* algo)
+  AlgoRun(Engine& eng, const char* algo)
       : eng_(&eng),
         algo_(algo),
         phase_(obs::intern_phase_tag(std::string("graph.") + algo)),
@@ -41,12 +42,7 @@ class StatsScope {
                                static_cast<std::ptrdiff_t>(start_log_),
                            eng_->iterations().end());
     s.iterations = static_cast<std::uint32_t>(s.per_iteration.size());
-    if (obs::MetricsRegistry* m = eng_->metrics(); m != nullptr) {
-      const std::string prefix = std::string("algo.") + algo_;
-      m->counter(prefix + ".runs").inc();
-      m->counter(prefix + ".iterations").inc(s.iterations);
-      m->counter(prefix + ".cycles").inc(s.cycles);
-    }
+    eng_->record_algo_run({algo_, s.iterations, s.cycles});
     if (obs::Telemetry* tel = eng_->telemetry(); tel != nullptr) {
       const std::string prefix = std::string("algo.") + algo_;
       tel->histogram(prefix + ".wall_ms")
@@ -98,7 +94,7 @@ std::uint32_t AlgoStats::hw_switches() const {
 BfsResult bfs(Engine& eng, Index source) {
   const Index n = eng.dimension();
   COSPARSE_REQUIRE(source < n, "BFS source vertex out of range");
-  StatsScope scope(eng, "bfs");
+  AlgoRun run(eng, "bfs");
 
   BfsResult res;
   res.level.assign(n, -1);
@@ -140,7 +136,7 @@ BfsResult bfs(Engine& eng, Index source) {
     }
     if (added == 0) break;
   }
-  res.stats = scope.finish();
+  res.stats = run.finish();
   return res;
 }
 
@@ -150,7 +146,7 @@ SsspResult sssp(Engine& eng, Index source, std::uint32_t max_iterations) {
   if (max_iterations == 0) {
     max_iterations = n > 0 ? n - 1 : 0;  // Bellman-Ford bound
   }
-  StatsScope scope(eng, "sssp");
+  AlgoRun run(eng, "sssp");
 
   SsspResult res;
   res.dist.assign(n, kernels::kInf);
@@ -191,7 +187,7 @@ SsspResult sssp(Engine& eng, Index source, std::uint32_t max_iterations) {
     }
     if (improved == 0) break;
   }
-  res.stats = scope.finish();
+  res.stats = run.finish();
   return res;
 }
 
@@ -200,7 +196,7 @@ PageRankResult pagerank(Engine& eng, std::span<const Index> out_degrees,
   const Index n = eng.dimension();
   COSPARSE_REQUIRE(out_degrees.size() == n,
                    "out_degrees size must match the graph");
-  StatsScope scope(eng, "pagerank");
+  AlgoRun run(eng, "pagerank");
 
   PageRankResult res;
   res.rank.assign(n, n > 0 ? 1.0 / static_cast<double>(n) : 0.0);
@@ -236,13 +232,13 @@ PageRankResult pagerank(Engine& eng, std::span<const Index> out_degrees,
     res.residual = residual;
     if (residual < opts.tolerance) break;
   }
-  res.stats = scope.finish();
+  res.stats = run.finish();
   return res;
 }
 
 CcResult connected_components(Engine& eng) {
   const Index n = eng.dimension();
-  StatsScope scope(eng, "cc");
+  AlgoRun run(eng, "cc");
 
   CcResult res;
   res.component.resize(n);
@@ -291,7 +287,7 @@ CcResult connected_components(Engine& eng) {
   for (Index v = 0; v < n; ++v) {
     if (res.component[v] == v) ++res.num_components;
   }
-  res.stats = scope.finish();
+  res.stats = run.finish();
   return res;
 }
 
@@ -299,7 +295,7 @@ CfResult cf(Engine& eng, const sparse::Coo& ratings, CfOptions opts) {
   const Index n = eng.dimension();
   COSPARSE_REQUIRE(ratings.rows() == n && ratings.cols() == n,
                    "ratings matrix must match the engine's graph");
-  StatsScope scope(eng, "cf");
+  AlgoRun run(eng, "cf");
 
   CfResult res;
   res.latent.assign(n, 0.0);
@@ -334,7 +330,7 @@ CfResult cf(Engine& eng, const sparse::Coo& ratings, CfOptions opts) {
     eng.charge_vector_pass(n, 2, 16);
     res.loss_per_iteration.push_back(loss());
   }
-  res.stats = scope.finish();
+  res.stats = run.finish();
   return res;
 }
 

@@ -83,12 +83,6 @@ sim::HwConfig DecisionEngine::decide_hw(SwConfig sw, Index dimension,
   return decide_hw_impl(sw, dimension, frontier_nnz, nullptr);
 }
 
-void DecisionEngine::publish(const Decision& d) const {
-  if (metrics_ == nullptr) return;
-  metrics_->counter(std::string("decision.sw.") + to_string(d.sw)).inc();
-  metrics_->counter(std::string("decision.hw.") + sim::to_string(d.hw)).inc();
-}
-
 Decision DecisionEngine::decide_impl(const SwConfig* forced, Index dimension,
                                      double matrix_density,
                                      std::size_t frontier_nnz) const {
@@ -160,8 +154,6 @@ Decision DecisionEngine::decide_impl(const SwConfig* forced, Index dimension,
     }
     audit_->record(std::move(rec));
   }
-
-  publish(d);
   return d;
 }
 

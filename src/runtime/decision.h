@@ -22,7 +22,6 @@
 #include <string_view>
 
 #include "common/types.h"
-#include "obs/metrics.h"
 #include "sim/config.h"
 
 namespace cosparse::runtime {
@@ -84,16 +83,11 @@ class DecisionEngine {
 
   /// Hardware-only decision given a forced software choice (used by the
   /// ablation modes and by Fig. 9's per-configuration sweeps). Not
-  /// audited and not published to metrics.
+  /// audited.
   [[nodiscard]] sim::HwConfig decide_hw(SwConfig sw, Index dimension,
                                         std::size_t frontier_nnz) const;
 
   [[nodiscard]] const Thresholds& thresholds() const { return thresholds_; }
-
-  /// Attaches a metrics registry (not owned); each decision then bumps
-  /// `decision.sw.<SW>` / `decision.hw.<HW>` counters. Pass nullptr to
-  /// detach.
-  void set_metrics(obs::MetricsRegistry* m) { metrics_ = m; }
 
   /// Attaches an audit trail (not owned); decide()/decide_forced_sw() then
   /// append one DecisionRecord per invocation (runtime/audit.h). Pass
@@ -101,9 +95,6 @@ class DecisionEngine {
   void set_audit(AuditTrail* a) { audit_ = a; }
 
  private:
-  /// Bumps the decision.sw/.hw counters for one resolved decision (no-op
-  /// without an attached registry).
-  void publish(const Decision& d) const;
   /// The shared body of decide()/decide_forced_sw(); `forced` pins the
   /// software configuration when non-null.
   Decision decide_impl(const SwConfig* forced, Index dimension,
@@ -116,7 +107,6 @@ class DecisionEngine {
 
   sim::SystemConfig cfg_;
   Thresholds thresholds_;
-  obs::MetricsRegistry* metrics_ = nullptr;
   AuditTrail* audit_ = nullptr;
 };
 

@@ -44,7 +44,6 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
       native_hw_(opts.fixed_hw.value_or(sim::HwConfig::kSC)),
       prepared_(std::move(prepared)),
       trace_(opts.trace),
-      metrics_(opts.metrics),
       telemetry_(opts.telemetry) {
   COSPARSE_REQUIRE(
       prepared_ != nullptr && prepared_->num_pes == cfg.num_pes() &&
@@ -76,7 +75,6 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
       exec_ = owned_exec_.get();
     }
   }
-  decider_.set_metrics(metrics_);
   decider_.set_audit(&audit_);
   // Frontier staging buffers (see engine.h): allocate the worst-case
   // storage once so their host pointers never change over the engine's
@@ -220,23 +218,6 @@ void Engine::record_iteration(const IterationRecord& rec, Cycles iter_begin,
       ex["hw"] = sim::to_string(machine_.hw());
       return ex;
     });
-  }
-  if (metrics_ != nullptr) {
-    metrics_->counter("engine.iterations").inc();
-    if (rec.sw_switched) metrics_->counter("engine.sw_switches").inc();
-    if (rec.hw_switched) metrics_->counter("engine.hw_switches").inc();
-    if (rec.converted_frontier)
-      metrics_->counter("engine.frontier_conversions").inc();
-    if (is_native) {
-      metrics_
-          ->counter(std::string("native.kernel.") +
-                    (rec.sw == SwConfig::kIP ? "pull" : "push"))
-          .inc();
-    } else {
-      metrics_->counter(std::string("engine.cycles.") + sim::to_string(rec.hw))
-          .inc(rec.cycles);
-    }
-    metrics_->histogram("engine.frontier_density").observe(rec.density);
   }
   if (is_native) return;  // trace spans live in the simulated-cycle domain
   if (trace_ != nullptr && trace_->enabled()) {

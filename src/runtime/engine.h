@@ -19,11 +19,11 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/json.h"
 #include "kernels/address_map.h"
-#include "obs/metrics.h"
 #include "obs/sampler.h"
 #include "obs/trace.h"
 #include "kernels/frontier.h"
@@ -61,11 +61,11 @@ struct EngineOptions {
   /// Vertical blocking for IP (vblocks sized to the tile SPM).
   bool vblocked = true;
   Thresholds thresholds;
-  /// Optional observability sinks (not owned; must outlive the engine).
-  /// With a null/disabled trace and no registry the hot path only pays a
-  /// pointer test per iteration.
+  /// Optional trace sink (not owned; must outlive the engine). With a
+  /// null/disabled trace the hot path only pays a pointer test per
+  /// iteration. The report's "metrics" section needs no sink: it is a view
+  /// of the iteration log, the decision audit and the algorithm runs.
   obs::Trace* trace = nullptr;
-  obs::MetricsRegistry* metrics = nullptr;
   /// Continuous telemetry registry (obs/telemetry.h; not owned). The
   /// engine observes per-iteration wall/cycle/density histograms, attaches
   /// the registry to the machine for per-phase wall timing, and pulses the
@@ -140,6 +140,14 @@ struct IterationRecord {
 [[nodiscard]] Json to_json(const IterationRecord& rec);
 /// Inverse of to_json(); throws cosparse::Error on missing/invalid fields.
 [[nodiscard]] IterationRecord iteration_record_from_json(const Json& j);
+
+/// One finished graph-algorithm run. Its cycles include the vector passes
+/// between SpMVs, so they cannot be summed from the iteration log.
+struct AlgoRunRecord {
+  std::string algo;  ///< "bfs", "sssp", ...
+  std::uint32_t iterations = 0;
+  Cycles cycles = 0;
+};
 
 class Engine {
  public:
@@ -228,9 +236,6 @@ class Engine {
   /// "decision_audit" run-report section).
   [[nodiscard]] const AuditTrail& audit() const { return audit_; }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
-  /// The metrics registry the engine publishes into (nullptr when none was
-  /// attached); graph algorithms use it for their own counters.
-  [[nodiscard]] obs::MetricsRegistry* metrics() const { return metrics_; }
   [[nodiscard]] obs::Trace* trace() const { return trace_; }
   /// The continuous-telemetry registry (nullptr when none was attached);
   /// report.cpp folds its digests into the run report's telemetry section.
@@ -243,7 +248,14 @@ class Engine {
   [[nodiscard]] Picojoules total_energy_pj() const {
     return machine_.energy_pj();
   }
-  void clear_iteration_log() { log_.clear(); }
+  /// Finished graph-algorithm runs, in completion order (appended by
+  /// graph/algorithms.cpp; the report's algo.<name>.* counters).
+  [[nodiscard]] const std::vector<AlgoRunRecord>& algo_runs() const {
+    return algo_runs_;
+  }
+  void record_algo_run(AlgoRunRecord run) {
+    algo_runs_.push_back(std::move(run));
+  }
 
  private:
   /// Frontier conversions, charged to the machine (lightweight vector
@@ -271,7 +283,7 @@ class Engine {
 
   Decision resolve_decision(std::size_t frontier_nnz) const;
 
-  /// Publishes the finished iteration into the attached trace/metrics
+  /// Publishes the finished iteration into the attached trace/telemetry
   /// sinks (no-op without sinks). Lives in engine.cpp so the template
   /// above stays lean.
   void record_iteration(const IterationRecord& rec, Cycles iter_begin,
@@ -309,10 +321,10 @@ class Engine {
   kernels::DenseFrontier staged_dense_;
   sparse::SparseVector staged_sparse_;
   std::vector<IterationRecord> log_;
+  std::vector<AlgoRunRecord> algo_runs_;
   std::uint32_t next_iteration_ = 0;
   std::optional<SwConfig> last_sw_;
   obs::Trace* trace_ = nullptr;
-  obs::MetricsRegistry* metrics_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
 };
 

@@ -1,5 +1,9 @@
 #include "runtime/report.h"
 
+#include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <map>
 #include <utility>
 
 #include "native/exec_mode.h"
@@ -8,6 +12,70 @@
 #include "sim/profile.h"
 
 namespace cosparse::runtime {
+
+Json metrics_view(std::span<const IterationRecord> iterations,
+                  std::span<const DecisionRecord> decisions,
+                  std::span<const AlgoRunRecord> algo_runs,
+                  native::ExecMode mode) {
+  std::map<std::string, std::uint64_t> counters;  // sorted by name
+  const auto count = [&counters](const std::string& name,
+                                 std::uint64_t by = 1) {
+    counters[name] += by;
+  };
+  // Inclusive upper bucket edges; one overflow bucket catches the rest.
+  static constexpr double kDensityBounds[] = {1e-4, 1e-3, 0.01, 0.05,
+                                              0.1,  0.25, 0.5,  1.0};
+  std::vector<std::uint64_t> buckets(std::size(kDensityBounds) + 1, 0);
+  double density_sum = 0.0;
+  for (const IterationRecord& rec : iterations) {
+    count("engine.iterations");
+    if (rec.sw_switched) count("engine.sw_switches");
+    if (rec.hw_switched) count("engine.hw_switches");
+    if (rec.converted_frontier) count("engine.frontier_conversions");
+    if (mode == native::ExecMode::kNative) {
+      count(std::string("native.kernel.") +
+            (rec.sw == SwConfig::kIP ? "pull" : "push"));
+    } else {
+      count(std::string("engine.cycles.") + sim::to_string(rec.hw),
+            rec.cycles);
+    }
+    ++buckets[static_cast<std::size_t>(
+        std::lower_bound(std::begin(kDensityBounds), std::end(kDensityBounds),
+                         rec.density) -
+        std::begin(kDensityBounds))];
+    density_sum += rec.density;
+  }
+  for (const DecisionRecord& d : decisions) {
+    count(std::string("decision.sw.") + to_string(d.sw));
+    count(std::string("decision.hw.") + sim::to_string(d.hw));
+  }
+  for (const AlgoRunRecord& run : algo_runs) {
+    const std::string prefix = "algo." + run.algo;
+    count(prefix + ".runs");
+    count(prefix + ".iterations", run.iterations);
+    count(prefix + ".cycles", run.cycles);
+  }
+
+  Json out = Json::object();
+  if (!counters.empty()) {
+    Json c = Json::object();
+    for (const auto& [name, value] : counters) c[name] = value;
+    out["counters"] = std::move(c);
+  }
+  if (!iterations.empty()) {
+    Json bounds = Json::array();
+    for (const double b : kDensityBounds) bounds.push_back(b);
+    Json bucket_counts = Json::array();
+    for (const std::uint64_t n : buckets) bucket_counts.push_back(n);
+    Json density = Json::object();
+    density["bounds"] = std::move(bounds);
+    density["bucket_counts"] = std::move(bucket_counts);
+    density["count"] = iterations.size();
+    density["sum"] = density_sum;
+    out["histograms"]["engine.frontier_density"] = std::move(density);
+  }
+  return out;
+}
 
 obs::Report make_run_report(const Engine& eng, std::string tool) {
   obs::Report rep(std::move(tool));
@@ -67,7 +135,8 @@ obs::Report make_run_report(const Engine& eng, std::string tool) {
     }
   }
 
-  if (eng.metrics() != nullptr) rep.set("metrics", eng.metrics()->to_json());
+  rep.set("metrics", metrics_view(eng.iterations(), eng.audit().records(),
+                                  eng.algo_runs(), eng.exec_mode()));
 
   // Telemetry is wall-clock-bearing, so it lives in its own section that
   // obs::results_subset() strips for the bit-neutrality comparison.

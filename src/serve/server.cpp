@@ -100,9 +100,7 @@ Json Server::serve(const std::vector<QueryRequest>& trace,
 
 void Server::execute(const std::vector<QueryRequest>& trace) {
   const obs::PhaseScope phase("serve.execute");
-  const native::ExecMode mode = cfg_.exec_mode == "native"
-                                    ? native::ExecMode::kNative
-                                    : native::ExecMode::kSim;
+  const native::ExecMode mode = native::exec_mode_from_string(cfg_.exec_mode);
   const sim::SystemConfig system = parse_system(cfg_.system);
 
   MatrixCache cache(&registry_, system, cfg_.cache_budget_bytes, cfg_.scale,

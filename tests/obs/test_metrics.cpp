@@ -1,93 +1,108 @@
-#include "obs/metrics.h"
-
+// The run report's "metrics" section (runtime::metrics_view) on hand-built
+// iteration, decision and algorithm-run records.
 #include <gtest/gtest.h>
 
-namespace cosparse::obs {
+#include <vector>
+
+#include "runtime/report.h"
+
+namespace cosparse::runtime {
 namespace {
 
-TEST(Metrics, CounterIncrements) {
-  MetricsRegistry reg;
-  Counter& c = reg.counter("engine.iterations");
-  c.inc();
-  c.inc(4);
-  EXPECT_EQ(c.value(), 5u);
-  // Lookup-or-create returns the same instance.
-  EXPECT_EQ(&reg.counter("engine.iterations"), &c);
-  EXPECT_EQ(reg.counter("engine.iterations").value(), 5u);
+IterationRecord iteration(double density, sim::HwConfig hw = sim::HwConfig::kSC,
+                          Cycles cycles = 0) {
+  IterationRecord rec;
+  rec.density = density;
+  rec.hw = hw;
+  rec.cycles = cycles;
+  return rec;
 }
 
-TEST(Metrics, HandlesStayStableAcrossInsertions) {
-  MetricsRegistry reg;
-  Counter& first = reg.counter("a");
-  // Force rebalancing of the underlying container with many inserts.
-  for (int i = 0; i < 100; ++i) reg.counter("c" + std::to_string(i));
-  first.inc();
-  EXPECT_EQ(reg.counter("a").value(), 1u);
-}
-
-TEST(Metrics, GaugeKeepsLastValue) {
-  MetricsRegistry reg;
-  reg.gauge("load").set(0.5);
-  reg.gauge("load").set(0.25);
-  EXPECT_DOUBLE_EQ(reg.gauge("load").value(), 0.25);
+const Json& counter(const Json& metrics, const char* name) {
+  const Json* c = metrics.find("counters")->find(name);
+  EXPECT_NE(c, nullptr) << name;
+  return *c;
 }
 
 TEST(Metrics, HistogramBucketsAreInclusiveUpperBounds) {
-  Histogram h({1.0, 2.0, 4.0});
-  h.observe(0.5);   // <= 1.0 -> bucket 0
-  h.observe(1.0);   // inclusive -> bucket 0
-  h.observe(1.5);   // bucket 1
-  h.observe(4.0);   // bucket 2
-  h.observe(100.0); // overflow
-  EXPECT_EQ(h.count(), 5u);
-  EXPECT_DOUBLE_EQ(h.sum(), 0.5 + 1.0 + 1.5 + 4.0 + 100.0);
-  ASSERT_EQ(h.bucket_counts().size(), 4u);
-  EXPECT_EQ(h.bucket_counts()[0], 2u);
-  EXPECT_EQ(h.bucket_counts()[1], 1u);
-  EXPECT_EQ(h.bucket_counts()[2], 1u);
-  EXPECT_EQ(h.bucket_counts()[3], 1u);  // overflow bucket
-}
-
-TEST(Metrics, HistogramBoundsApplyOnFirstCreationOnly) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("d", {0.5});
-  EXPECT_EQ(&reg.histogram("d", {0.1, 0.2, 0.3}), &h);
-  EXPECT_EQ(h.bounds().size(), 1u);
-}
-
-TEST(Metrics, FindDoesNotCreate) {
-  MetricsRegistry reg;
-  EXPECT_EQ(reg.find_counter("nope"), nullptr);
-  EXPECT_EQ(reg.find_gauge("nope"), nullptr);
-  EXPECT_EQ(reg.find_histogram("nope"), nullptr);
-  reg.counter("yes").inc();
-  ASSERT_NE(reg.find_counter("yes"), nullptr);
-  EXPECT_EQ(reg.find_counter("yes")->value(), 1u);
+  const std::vector<IterationRecord> iters = {
+      iteration(5e-5),   // bucket 0
+      iteration(1e-4),   // inclusive -> bucket 0
+      iteration(1e-3),   // inclusive -> bucket 1
+      iteration(0.3),    // (0.25, 0.5] -> bucket 6
+      iteration(1.0),    // inclusive -> bucket 7
+      iteration(1.5)};   // overflow
+  const Json m = metrics_view(iters, {}, {}, native::ExecMode::kSim);
+  const Json& h = *m.find("histograms")->find("engine.frontier_density");
+  EXPECT_EQ(h.find("count")->as_int(), 6);
+  EXPECT_DOUBLE_EQ(h.find("sum")->as_double(),
+                   5e-5 + 1e-4 + 1e-3 + 0.3 + 1.0 + 1.5);
+  const Json& b = *h.find("bucket_counts");
+  ASSERT_EQ(b.size(), 9u);
+  const std::int64_t want[] = {2, 1, 0, 0, 0, 0, 1, 1, 1};
+  for (std::size_t i = 0; i < b.size(); ++i) {
+    EXPECT_EQ(b.at(i).as_int(), want[i]) << "bucket " << i;
+  }
 }
 
 TEST(Metrics, ToJsonOmitsEmptySectionsAndKeepsExactCounts) {
-  MetricsRegistry reg;
-  reg.counter("runs").inc(3);
-  const Json j = reg.to_json();
-  ASSERT_NE(j.find("counters"), nullptr);
-  EXPECT_EQ(j.find("counters")->find("runs")->as_int(), 3);
-  EXPECT_EQ(j.find("gauges"), nullptr);
-  EXPECT_EQ(j.find("histograms"), nullptr);
+  EXPECT_EQ(metrics_view({}, {}, {}, native::ExecMode::kSim).dump(), "{}");
+
+  // 2^53 + 1 is not representable as a double: counters must stay integral.
+  const Cycles big = (Cycles{1} << 53) + 1;
+  const std::vector<AlgoRunRecord> runs = {{"bfs", 3, big}};
+  const Json m = metrics_view({}, {}, runs, native::ExecMode::kSim);
+  EXPECT_EQ(counter(m, "algo.bfs.runs").as_int(), 1);
+  EXPECT_EQ(counter(m, "algo.bfs.iterations").as_int(), 3);
+  EXPECT_EQ(static_cast<Cycles>(counter(m, "algo.bfs.cycles").as_int()), big);
+  EXPECT_EQ(m.find("gauges"), nullptr);
+  EXPECT_EQ(m.find("histograms"), nullptr);
 }
 
 TEST(Metrics, HistogramToJsonStructure) {
-  MetricsRegistry reg;
-  Histogram& h = reg.histogram("density", {0.1, 0.5});
-  h.observe(0.05);
-  h.observe(0.3);
-  h.observe(0.9);
-  const Json j = reg.to_json();
-  const Json* hist = j.find("histograms")->find("density");
+  const std::vector<IterationRecord> iters = {iteration(0.05), iteration(0.3),
+                                              iteration(0.9)};
+  const Json m = metrics_view(iters, {}, {}, native::ExecMode::kSim);
+  const Json* hist = m.find("histograms")->find("engine.frontier_density");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->find("count")->as_int(), 3);
-  EXPECT_EQ(hist->find("bounds")->size(), 2u);
-  EXPECT_EQ(hist->find("bucket_counts")->size(), 3u);
+  EXPECT_EQ(hist->find("bounds")->size(), 8u);
+  EXPECT_EQ(hist->find("bounds")->at(0).as_double(), 1e-4);
+  EXPECT_EQ(hist->find("bounds")->at(7).as_double(), 1.0);
+  EXPECT_EQ(hist->find("bucket_counts")->size(), 9u);
+}
+
+TEST(Metrics, CycleCountersInSimKernelCountersInNative) {
+  std::vector<IterationRecord> iters = {
+      iteration(0.4, sim::HwConfig::kSCS, 100),
+      iteration(0.001, sim::HwConfig::kPC, 7),
+      iteration(0.5, sim::HwConfig::kSCS, 20)};
+  iters[1].sw = SwConfig::kOP;
+  iters[1].sw_switched = true;
+  iters[1].converted_frontier = true;
+  DecisionRecord forced;
+  forced.forced_sw = true;
+  forced.sw = SwConfig::kOP;
+  forced.hw = sim::HwConfig::kPS;
+  const std::vector<DecisionRecord> decisions = {forced};
+
+  const Json sim = metrics_view(iters, decisions, {}, native::ExecMode::kSim);
+  EXPECT_EQ(counter(sim, "engine.iterations").as_int(), 3);
+  EXPECT_EQ(counter(sim, "engine.sw_switches").as_int(), 1);
+  EXPECT_EQ(counter(sim, "engine.frontier_conversions").as_int(), 1);
+  EXPECT_EQ(sim.find("counters")->find("engine.hw_switches"), nullptr);
+  EXPECT_EQ(counter(sim, "engine.cycles.SCS").as_int(), 120);
+  EXPECT_EQ(counter(sim, "engine.cycles.PC").as_int(), 7);
+  // Forced-SW decisions are audited, so they are counted too.
+  EXPECT_EQ(counter(sim, "decision.sw.OP").as_int(), 1);
+  EXPECT_EQ(counter(sim, "decision.hw.PS").as_int(), 1);
+  EXPECT_EQ(sim.find("counters")->find("native.kernel.pull"), nullptr);
+
+  const Json nat = metrics_view(iters, decisions, {}, native::ExecMode::kNative);
+  EXPECT_EQ(counter(nat, "native.kernel.pull").as_int(), 2);
+  EXPECT_EQ(counter(nat, "native.kernel.push").as_int(), 1);
+  EXPECT_EQ(nat.find("counters")->find("engine.cycles.SCS"), nullptr);
 }
 
 }  // namespace
-}  // namespace cosparse::obs
+}  // namespace cosparse::runtime

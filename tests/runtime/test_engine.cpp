@@ -163,17 +163,6 @@ TEST(Engine, ChargeVectorPassAdvancesClock) {
   EXPECT_GT(eng.total_cycles(), before);
 }
 
-TEST(Engine, ClearIterationLog) {
-  const Coo a = test_matrix(100, 500);
-  Engine eng(a, sim::SystemConfig::transmuter(2, 4));
-  eng.spmv(Engine::Frontier::from_sparse(
-               sparse::random_sparse_vector(100, 0.01, 13)),
-           PlainSpmv{});
-  EXPECT_FALSE(eng.iterations().empty());
-  eng.clear_iteration_log();
-  EXPECT_TRUE(eng.iterations().empty());
-}
-
 TEST(Engine, EmptyFrontierProducesEmptyOutput) {
   const Coo a = test_matrix(100, 500);
   Engine eng(a, sim::SystemConfig::transmuter(2, 4));

@@ -11,6 +11,7 @@
 #include "common/cli.h"
 #include "common/error.h"
 #include "common/json.h"
+#include "native/exec_mode.h"
 #include "obs/telemetry.h"
 #include "serve/config.h"
 #include "serve/request.h"
@@ -108,13 +109,13 @@ int cosparsed_main(int argc, const char* const* argv, std::ostream& out,
     return 2;
   }
 
-  const std::string exec_override = cli.str("exec-mode");
-  if (!exec_override.empty()) {
-    if (exec_override != "sim" && exec_override != "native") {
-      err << "cosparsed: --exec-mode must be sim or native\n";
+  if (const std::string mode = cli.str("exec-mode"); !mode.empty()) {
+    try {
+      cfg.exec_mode = native::to_string(native::exec_mode_from_string(mode));
+    } catch (const Error& e) {
+      err << "cosparsed: --exec-mode: " << e.what() << "\n";
       return 2;
     }
-    cfg.exec_mode = exec_override;
   }
 
   // Deterministic trace export: the load generator half on its own.
