@@ -6,7 +6,11 @@
 // performance are visible independently of the simulated results.
 #include <benchmark/benchmark.h>
 
+#include <string>
+#include <vector>
+
 #include "baselines/cpu_spmv.h"
+#include "common/rng.h"
 #include "kernels/address_map.h"
 #include "kernels/frontier.h"
 #include "kernels/ip_spmv.h"
@@ -81,19 +85,42 @@ void BM_FrontierSparseToDense(benchmark::State& state) {
 BENCHMARK(BM_FrontierSparseToDense);
 
 void BM_SimCacheAccessPath(benchmark::State& state) {
-  // Throughput of the simulator's hot path: one PE streaming reads.
+  // Throughput of the simulator's hot path: one PE reading through the
+  // hierarchy of the HwConfig in range(0) (SC, SCS, PC, PS), either as a
+  // sequential stream (range(1) == 0) or at seeded random addresses.
+  const auto hw = static_cast<sim::HwConfig>(state.range(0));
+  const bool random = state.range(1) != 0;
   const auto cfg = sim::SystemConfig::transmuter(2, 8);
-  sim::Machine machine(cfg, sim::HwConfig::kSC);
-  const Addr base = machine.alloc(1 << 22, "bench.stream");
-  Addr a = base;
-  for (auto _ : state) {
-    machine.mem_read(0, a, 8);
-    a += 8;
-    if (a >= base + (1 << 22)) a = base;
+  sim::Machine machine(cfg, hw);
+  constexpr std::size_t kSpan = std::size_t{1} << 22;
+  const Addr base = machine.alloc(kSpan, "bench.stream");
+  // Random addresses are drawn before timing, so the loop times no RNG.
+  std::vector<Addr> addrs;
+  if (random) {
+    Rng rng(7, "bench.sim_access");
+    addrs.resize(std::size_t{1} << 16);
+    for (Addr& a : addrs) a = base + rng.next_below(kSpan / 8) * 8;
   }
+  std::size_t i = 0;
+  Addr stream = base;
+  for (auto _ : state) {
+    if (random) {
+      machine.mem_read(0, addrs[i], 8);
+      i = (i + 1) & (addrs.size() - 1);
+    } else {
+      machine.mem_read(0, stream, 8);
+      stream += 8;
+      if (stream >= base + kSpan) stream = base;
+    }
+  }
+  benchmark::DoNotOptimize(machine.cycles());
   state.SetItemsProcessed(state.iterations());
+  state.SetLabel(std::string(sim::to_string(hw)) +
+                 (random ? " random" : " stream"));
 }
-BENCHMARK(BM_SimCacheAccessPath);
+BENCHMARK(BM_SimCacheAccessPath)
+    ->ArgNames({"hw", "random"})
+    ->ArgsProduct({{0, 1, 2, 3}, {0, 1}});
 
 void BM_SimIpKernel(benchmark::State& state) {
   const auto m = sparse::uniform_random(1 << 14, 1 << 14, 1 << 18, 5,

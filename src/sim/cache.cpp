@@ -1,5 +1,6 @@
 #include "sim/cache.h"
 
+#include <bit>
 #include <tuple>
 
 #include "common/error.h"
@@ -23,78 +24,72 @@ CacheArray::CacheArray(std::uint32_t num_banks, std::uint32_t bank_bytes,
   COSPARSE_CHECK(num_banks_ >= 1);
   COSPARSE_CHECK(sets_per_bank_ >= 1);
   COSPARSE_CHECK(prefetch_depth_ + 1 <= kMaxFetchedLines);
+  pow2_ = std::has_single_bit(num_banks_) &&
+          std::has_single_bit(sets_per_bank_) &&
+          std::has_single_bit(line_bytes_) &&
+          std::has_single_bit(associativity_);
+  if (pow2_) {
+    line_shift_ = static_cast<std::uint32_t>(std::countr_zero(line_bytes_));
+    bank_shift_ = static_cast<std::uint32_t>(std::countr_zero(num_banks_));
+    set_shift_ = static_cast<std::uint32_t>(std::countr_zero(sets_per_bank_));
+    way_shift_ = static_cast<std::uint32_t>(std::countr_zero(associativity_));
+    bank_mask_ = num_banks_ - 1;
+    set_mask_ = sets_per_bank_ - 1;
+  }
 }
 
-std::size_t CacheArray::set_base(std::uint64_t line) const {
-  const std::uint64_t bank = line % num_banks_;
-  const std::uint64_t set = (line / num_banks_) % sets_per_bank_;
-  return static_cast<std::size_t>((bank * sets_per_bank_ + set) *
-                                  associativity_);
-}
-
-CacheArray::Line* CacheArray::find(std::uint64_t line) {
-  const std::size_t base = set_base(line);
+CacheArray::Line* CacheArray::find_at(std::size_t base, std::uint64_t line) {
+  // An empty way's tag matches no line index.
   for (std::uint32_t w = 0; w < associativity_; ++w) {
-    Line& l = lines_[base + w];
-    if (l.valid && l.line_addr == line) return &l;
+    if (lines_[base + w].line_addr == line) return &lines_[base + w];
   }
   return nullptr;
 }
 
-const CacheArray::Line* CacheArray::find(std::uint64_t line) const {
-  return const_cast<CacheArray*>(this)->find(line);
-}
-
-CacheArray::Line& CacheArray::victim(std::uint64_t line) {
-  const std::size_t base = set_base(line);
+CacheArray::Line& CacheArray::victim_at(std::size_t base) {
   // Victim order: invalid ways, then not-yet-used prefetched lines (they
   // were inserted at low priority so prefetch streams evict each other
   // instead of polluting demand-hot lines), then true LRU.
   Line* best = &lines_[base];
   for (std::uint32_t w = 0; w < associativity_; ++w) {
     Line& l = lines_[base + w];
-    if (!l.valid) return l;
-    const auto cand_key = std::make_pair(!l.prefetched, l.last_use);
-    const auto best_key = std::make_pair(!best->prefetched, best->last_use);
-    if (cand_key < best_key) best = &l;
+    if (!l.valid()) return l;
+    if (l.victim_key() < best->victim_key()) best = &l;
   }
   return *best;
 }
 
-bool CacheArray::install_line(std::uint64_t line, bool prefetched,
-                              Addr* writeback) {
-  Line& v = victim(line);
-  const bool wb = v.valid && v.dirty;
-  if (wb && writeback != nullptr) {
-    *writeback = v.line_addr * line_bytes_;
+CacheArray::Line& CacheArray::install_at(std::size_t base, std::uint64_t line,
+                                         bool prefetched, Addr* writebacks,
+                                         std::uint32_t& num_writebacks) {
+  Line& v = victim_at(base);
+  if (v.valid() && v.dirty()) {
+    writebacks[num_writebacks++] = v.line_addr * line_bytes_;
   }
   v.line_addr = line;
-  v.valid = true;
-  v.dirty = false;
-  v.prefetched = prefetched;
-  v.last_use = ++tick_;
-  return wb;
+  v.meta = (prefetched ? 0 : Line::kDemand) | ++tick_;
+  return v;
 }
 
 CacheArray::Outcome CacheArray::access(std::uint32_t requester, Addr addr,
                                        bool write, bool low_priority) {
-  Outcome out;
-  const std::uint64_t line = addr / line_bytes_;
+  Outcome out;  // arrays left indeterminate (see Outcome)
+  const std::uint64_t line = line_of(addr);
+  const std::size_t base = set_base(line);
 
   if (low_priority) {
     // Fill on behalf of an upper level's speculation: hit bumps nothing,
     // miss installs at prefetch priority, the prefetcher stays untrained.
-    Line* resident = find(line);
+    Line* resident = find_at(base, line);
     if (resident != nullptr) {
       out.hit = true;
-      if (write) resident->dirty = true;
+      if (write) resident->meta |= Line::kDirty;
       return out;
     }
-    Addr wb_lp = 0;
-    const bool had_wb_lp = install_line(line, /*prefetched=*/true, &wb_lp);
+    Line& filled = install_at(base, line, /*prefetched=*/true,
+                              out.writeback_lines, out.num_writebacks);
     out.fetched_lines[out.num_fetched++] = line * line_bytes_;
-    if (write) find(line)->dirty = true;
-    if (had_wb_lp) out.writeback_lines[out.num_writebacks++] = wb_lp;
+    if (write) filled.meta |= Line::kDirty;
     return out;
   }
 
@@ -103,11 +98,11 @@ CacheArray::Outcome CacheArray::access(std::uint32_t requester, Addr addr,
   // allocate the LRU entry for accesses that belong to no known stream.
   StreamState* match = nullptr;
   {
-    StreamState* base = &streams_[static_cast<std::size_t>(requester) *
-                                  kStreamsPerRequester];
-    StreamState* victim = base;
+    StreamState* table = &streams_[static_cast<std::size_t>(requester) *
+                                   kStreamsPerRequester];
+    StreamState* victim = table;
     for (std::uint32_t s = 0; s < kStreamsPerRequester; ++s) {
-      StreamState& cand = base[s];
+      StreamState& cand = table[s];
       if (cand.valid) {
         const auto delta = static_cast<std::int64_t>(line) -
                            static_cast<std::int64_t>(cand.last_line);
@@ -153,25 +148,25 @@ CacheArray::Outcome CacheArray::access(std::uint32_t requester, Addr addr,
   }
 
   auto issue_prefetch = [&](std::uint64_t pf_line) {
-    if (find(pf_line) != nullptr) return;  // already resident
+    const std::size_t pf_base = set_base(pf_line);
+    if (find_at(pf_base, pf_line) != nullptr) return;  // already resident
     if (out.num_fetched >= kMaxFetchedLines) return;
-    Addr wb = 0;
-    const bool had_wb = install_line(pf_line, /*prefetched=*/true, &wb);
+    install_at(pf_base, pf_line, /*prefetched=*/true, out.writeback_lines,
+               out.num_writebacks);
     out.fetched_lines[out.num_fetched++] = pf_line * line_bytes_;
     ++out.num_prefetched;
-    if (had_wb) out.writeback_lines[out.num_writebacks++] = wb;
   };
 
-  Line* hit_line = find(line);
+  Line* hit_line = find_at(base, line);
   if (hit_line != nullptr) {
     out.hit = true;
-    hit_line->last_use = ++tick_;
-    if (write) hit_line->dirty = true;
+    hit_line->touch(++tick_);
+    if (write) hit_line->meta |= Line::kDirty;
     // Tagged prefetch: the first demand hit on a prefetched line promotes
     // it to normal priority and extends the stream by one more line,
     // keeping steady-state streams resident.
-    if (hit_line->prefetched) {
-      hit_line->prefetched = false;
+    if (hit_line->prefetched()) {
+      hit_line->meta |= Line::kDemand;
       if (stride_confirmed) {
         const std::int64_t next =
             static_cast<std::int64_t>(line) +
@@ -183,11 +178,10 @@ CacheArray::Outcome CacheArray::access(std::uint32_t requester, Addr addr,
   }
 
   // Demand miss: fetch the line itself...
-  Addr wb = 0;
-  const bool had_wb = install_line(line, /*prefetched=*/false, &wb);
+  Line& filled = install_at(base, line, /*prefetched=*/false,
+                            out.writeback_lines, out.num_writebacks);
   out.fetched_lines[out.num_fetched++] = line * line_bytes_;
-  if (had_wb) out.writeback_lines[out.num_writebacks++] = wb;
-  if (write) find(line)->dirty = true;
+  if (write) filled.meta |= Line::kDirty;
   // ...and run the stride prefetcher ahead of it.
   if (stride_confirmed) {
     for (std::uint32_t i = 1; i <= prefetch_depth_; ++i) {
@@ -200,21 +194,24 @@ CacheArray::Outcome CacheArray::access(std::uint32_t requester, Addr addr,
 }
 
 std::uint32_t CacheArray::install(Addr addr, Addr* writeback_out) {
+  const std::uint64_t line = line_of(addr);
   Addr wb = 0;
-  const bool had_wb =
-      install_line(addr / line_bytes_, /*prefetched=*/false, &wb);
-  if (had_wb && writeback_out != nullptr) *writeback_out = wb;
-  return had_wb ? 1u : 0u;
+  std::uint32_t num_wb = 0;
+  install_at(set_base(line), line, /*prefetched=*/false, &wb, num_wb);
+  if (num_wb != 0 && writeback_out != nullptr) *writeback_out = wb;
+  return num_wb;
 }
 
 bool CacheArray::probe(Addr addr) const {
-  return find(addr / line_bytes_) != nullptr;
+  const std::uint64_t line = line_of(addr);
+  return const_cast<CacheArray*>(this)->find_at(set_base(line), line) !=
+         nullptr;
 }
 
 std::uint64_t CacheArray::flush(std::vector<Addr>* dirty_lines) {
   std::uint64_t dirty = 0;
   for (Line& l : lines_) {
-    if (l.valid && l.dirty) {
+    if (l.valid() && l.dirty()) {
       ++dirty;
       if (dirty_lines != nullptr) {
         dirty_lines->push_back(l.line_addr * line_bytes_);

@@ -117,6 +117,11 @@ void Machine::rebuild_hierarchy() {
       }
       break;
   }
+
+  l1_arb_ = l1_tile_.empty() ? 0.0 : arb_penalty(P, l1_tile_[0]->num_banks());
+  l2_arb_ = l2_global_ ? arb_penalty(cfg_.num_pes(), l2_global_->num_banks())
+                       : arb_penalty(P, l2_tile_[0]->num_banks());
+  spm_arb_ = arb_penalty(P, P);
 }
 
 double Machine::arb_penalty(std::uint32_t sharers,
@@ -126,17 +131,11 @@ double Machine::arb_penalty(std::uint32_t sharers,
          static_cast<double>(banks);
 }
 
-double Machine::finish_l2(std::uint32_t pe, Addr addr, bool demand,
-                          const CacheArray::Outcome& out) {
-  const std::uint32_t tile = tile_of(pe);
-  const CacheArray* l2 = l2_global_ ? l2_global_.get() : l2_tile_[tile].get();
-  const std::uint32_t sharers =
-      l2_global_ ? cfg_.num_pes() : cfg_.pes_per_tile;
-
-  const double arb = arb_penalty(sharers, l2->num_banks());
-  double latency = cfg_.xbar_latency + arb + cfg_.l2_bank_latency;
+double Machine::finish_l2(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                          bool demand, const CacheArray::Outcome& out) {
+  double latency = cfg_.xbar_latency + l2_arb_ + cfg_.l2_bank_latency;
   bump(tile, [](Stats& s) { ++s.xbar_transfers; });
-  if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, arb);
+  if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, l2_arb_);
 
   if (out.hit) {
     bump(tile, [](Stats& s) { ++s.l2_hits; });
@@ -180,9 +179,8 @@ double Machine::finish_l2(std::uint32_t pe, Addr addr, bool demand,
   return demand ? latency : 0.0;
 }
 
-double Machine::access_l2(std::uint32_t pe, Addr addr, bool write,
-                          bool demand) {
-  const std::uint32_t tile = tile_of(pe);
+double Machine::access_l2(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                          bool write, bool demand) {
   CacheArray* l2 = nullptr;
   std::uint32_t requester = 0;
   if (l2_global_) {
@@ -190,15 +188,14 @@ double Machine::access_l2(std::uint32_t pe, Addr addr, bool write,
     requester = pe;
   } else {
     l2 = l2_tile_[tile].get();
-    requester = pe % cfg_.pes_per_tile;
+    requester = pe - tile * cfg_.pes_per_tile;
   }
   const auto out = l2->access(requester, addr, write, /*low_priority=*/!demand);
-  return finish_l2(pe, addr, demand, out);
+  return finish_l2(pe, tile, addr, demand, out);
 }
 
-double Machine::finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
-                          const CacheArray::Outcome& out) {
-  const std::uint32_t tile = tile_of(pe);
+double Machine::finish_l1(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                          double l1_latency, const CacheArray::Outcome& out) {
   double latency = l1_latency;
   if (prof_ != nullptr) prof_->l1_access(tile, addr, out.hit);
   if (out.hit) {
@@ -213,10 +210,10 @@ double Machine::finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
     if (i == 0 && !out.hit) {
       // The demand fill exposes the full next-level latency.
       latency += cfg_.refill_overhead +
-                 access_l2(pe, a, /*write=*/false, /*demand=*/true);
+                 access_l2(pe, tile, a, /*write=*/false, /*demand=*/true);
     } else {
       // Tagged/miss prefetches move lines without stalling the PE.
-      access_l2(pe, a, /*write=*/false, /*demand=*/false);
+      access_l2(pe, tile, a, /*write=*/false, /*demand=*/false);
       bump(tile, [](Stats& s) { ++s.prefetch_lines; });
       if (prof_ != nullptr) prof_->prefetch_line(tile, a);
     }
@@ -224,15 +221,15 @@ double Machine::finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
   for (std::uint32_t i = 0; i < out.num_writebacks; ++i) {
     // Dirty L1 victims drain into L2 (no PE stall).
     const Addr a = out.writeback_lines[i];
-    access_l2(pe, a, /*write=*/true, /*demand=*/false);
+    access_l2(pe, tile, a, /*write=*/true, /*demand=*/false);
     bump(tile, [](Stats& s) { ++s.writeback_lines; });
     if (prof_ != nullptr) prof_->l1_writeback(tile, a);
   }
   return latency;
 }
 
-double Machine::route_access(std::uint32_t pe, Addr addr, bool write) {
-  const std::uint32_t tile = tile_of(pe);
+double Machine::route_access(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                             bool write) {
   if (prof_ != nullptr) prof_->reuse_sample(addr);
 
   // L1 hits are modeled as pipelined: a 1-issue in-order core with
@@ -246,11 +243,10 @@ double Machine::route_access(std::uint32_t pe, Addr addr, bool write) {
   if (!l1_tile_.empty()) {
     // Shared L1 within the tile (SC/SCS).
     l1 = l1_tile_[tile].get();
-    requester = pe % cfg_.pes_per_tile;
-    const double arb = arb_penalty(cfg_.pes_per_tile, l1->num_banks());
-    l1_latency = 1.0 + arb;
+    requester = pe - tile * cfg_.pes_per_tile;
+    l1_latency = 1.0 + l1_arb_;
     bump(tile, [](Stats& s) { ++s.xbar_transfers; });
-    if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, arb);
+    if (prof_ != nullptr) prof_->xbar_transfer(tile, addr, l1_arb_);
   } else if (!l1_pe_.empty()) {
     // Private L1 (PC): transparent crossbar, direct access.
     l1 = l1_pe_[pe].get();
@@ -258,37 +254,40 @@ double Machine::route_access(std::uint32_t pe, Addr addr, bool write) {
     l1_latency = 1.0;
   } else {
     // PS: no L1 cache — straight to the per-tile L2.
-    return access_l2(pe, addr, write, /*demand=*/true);
+    return access_l2(pe, tile, addr, write, /*demand=*/true);
   }
 
   const auto out = l1->access(requester, addr, write);
-  return finish_l1(pe, addr, l1_latency, out);
+  return finish_l1(pe, tile, addr, l1_latency, out);
 }
 
-void Machine::apply_mem_latency(std::uint32_t pe, bool write, double latency) {
+void Machine::apply_mem_latency(std::uint32_t pe, std::uint32_t tile,
+                                bool write, double latency) {
   if (write) {
     // Stores drain through a store buffer: the PE spends one issue slot and
     // does not wait for the (write-allocate) fill — cache state and traffic
     // are still updated, and sustained store misses are bounded by the DRAM
     // roofline rather than per-store latency.
     pe_clock_[pe] += 1.0;
-    bump(tile_of(pe), [](Stats& s) { s.pe_mem_stall_cycles += 1.0; });
+    bump(tile, [](Stats& s) { s.pe_mem_stall_cycles += 1.0; });
   } else {
     pe_clock_[pe] += latency;
-    bump(tile_of(pe), [&](Stats& s) { s.pe_mem_stall_cycles += latency; });
+    bump(tile, [&](Stats& s) { s.pe_mem_stall_cycles += latency; });
   }
 }
 
 void Machine::mem_read(std::uint32_t pe, Addr addr, std::uint32_t bytes) {
   (void)bytes;  // sub-line accesses cost one hierarchy round trip
-  const double latency = route_access(pe, addr, /*write=*/false);
-  apply_mem_latency(pe, /*write=*/false, latency);
+  const std::uint32_t tile = tile_of(pe);
+  const double latency = route_access(pe, tile, addr, /*write=*/false);
+  apply_mem_latency(pe, tile, /*write=*/false, latency);
 }
 
 void Machine::mem_write(std::uint32_t pe, Addr addr, std::uint32_t bytes) {
   (void)bytes;
-  const double latency = route_access(pe, addr, /*write=*/true);
-  apply_mem_latency(pe, /*write=*/true, latency);
+  const std::uint32_t tile = tile_of(pe);
+  const double latency = route_access(pe, tile, addr, /*write=*/true);
+  apply_mem_latency(pe, tile, /*write=*/true, latency);
 }
 
 std::size_t Machine::spm_bytes_per_tile() const {
@@ -305,14 +304,15 @@ void Machine::spm_read(std::uint32_t pe, std::uint32_t /*bytes*/) {
   if (hw_ == HwConfig::kSCS) {
     // Shared SPM arbitration: the SCS split is by capacity, so all of the
     // tile's word-granular banks still serve SPM requests.
-    latency += arb_penalty(cfg_.pes_per_tile, cfg_.pes_per_tile);
+    latency += spm_arb_;
   }
+  const std::uint32_t tile = tile_of(pe);
   pe_clock_[pe] += latency;
-  bump(tile_of(pe), [&](Stats& s) {
+  bump(tile, [&](Stats& s) {
     s.pe_mem_stall_cycles += latency;
     ++s.spm_accesses;
   });
-  if (prof_ != nullptr) prof_->spm_access(tile_of(pe));
+  if (prof_ != nullptr) prof_->spm_access(tile);
 }
 
 void Machine::spm_write(std::uint32_t pe, std::uint32_t bytes) {
@@ -329,7 +329,7 @@ void Machine::spm_fill_tile(std::uint32_t tile, Addr src, std::size_t bytes) {
   const std::uint64_t l2_hits_before = stats_.l2_hits;
   std::uint64_t lines = 0;
   for (Addr a = src; a < src + bytes; a += cfg_.line_bytes, ++lines) {
-    access_l2(pe0, a, /*write=*/false, /*demand=*/false);
+    access_l2(pe0, tile, a, /*write=*/false, /*demand=*/false);
   }
   const std::uint64_t from_l2 = stats_.l2_hits - l2_hits_before;
   const std::uint64_t from_dram = lines - std::min(lines, from_l2);

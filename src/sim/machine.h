@@ -182,27 +182,30 @@ class Machine {
   [[nodiscard]] double watts() const;
 
  private:
-  struct Level;
-
   void rebuild_hierarchy();
   /// Shared-mode arbitration penalty for a level shared by `sharers`
   /// requesters over `banks` banks.
   [[nodiscard]] double arb_penalty(std::uint32_t sharers,
                                    std::uint32_t banks) const;
+  // The access path below passes the issuing PE's tile (tile_of(pe)) down
+  // from mem_read/mem_write, which compute it once per access.
   /// Routes one demand access; returns the latency charged to the PE.
-  double route_access(std::uint32_t pe, Addr addr, bool write);
+  double route_access(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                      bool write);
   /// L2-level access (demand or traffic-only); returns demand latency.
-  double access_l2(std::uint32_t pe, Addr addr, bool write, bool demand);
+  double access_l2(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                   bool write, bool demand);
   /// Timing/stats/profiler half of an L1 access whose array outcome is
   /// already known; propagates its fills and writebacks to L2 and returns
   /// the demand latency.
-  double finish_l1(std::uint32_t pe, Addr addr, double l1_latency,
-                   const CacheArray::Outcome& out);
+  double finish_l1(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                   double l1_latency, const CacheArray::Outcome& out);
   /// Timing/stats/profiler half of an L2 access with a known outcome.
-  double finish_l2(std::uint32_t pe, Addr addr, bool demand,
-                   const CacheArray::Outcome& out);
+  double finish_l2(std::uint32_t pe, std::uint32_t tile, Addr addr,
+                   bool demand, const CacheArray::Outcome& out);
   /// Stall/issue cost applied to the issuing PE after routing an access.
-  void apply_mem_latency(std::uint32_t pe, bool write, double latency);
+  void apply_mem_latency(std::uint32_t pe, std::uint32_t tile, bool write,
+                         double latency);
 
   /// Applies one mutation to the global stats and the owning tile's slice,
   /// keeping the two views additive by construction.
@@ -237,6 +240,11 @@ class Machine {
   std::vector<std::unique_ptr<CacheArray>> l1_pe_;    ///< PC: per PE
   std::unique_ptr<CacheArray> l2_global_;             ///< SC/SCS
   std::vector<std::unique_ptr<CacheArray>> l2_tile_;  ///< PC/PS: per tile
+  // arb_penalty() of each shared level, fixed per hierarchy (same
+  // expression, so the charged latencies are bit-identical).
+  double l1_arb_ = 0.0;   ///< SC/SCS shared L1
+  double l2_arb_ = 0.0;   ///< shared L2 (global or per tile)
+  double spm_arb_ = 0.0;  ///< SCS shared SPM
 
   Addr next_addr_ = 0;
 };

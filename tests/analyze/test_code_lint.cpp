@@ -13,6 +13,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/temp_path.h"
 #include "common/error.h"
 #include "verify/baseline.h"
 
@@ -158,7 +159,7 @@ TEST(CodeLint, MissingCompileDbIsAWarningNotAnError) {
 
 TEST(CodeLint, CompileDbFlagChecksFireFromCraftedDatabase) {
   const std::string root = COSPARSE_TEST_FIXTURES;
-  const std::string db_path = ::testing::TempDir() + "fixture_ccdb.json";
+  const std::string db_path = test::unique_temp_path("fixture_ccdb.json");
   {
     std::ofstream out(db_path);
     // bad_kernel.cpp: no -ffp-contract=off → fp.contract-missing.

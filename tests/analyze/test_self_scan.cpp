@@ -4,7 +4,8 @@
 // waived info finding and the SampleProfiler SIGPROF handler proven
 // against the async-signal-safe allowlist. This is the same gate CI
 // runs via the cosparse-lint binary; keeping it in ctest means a local
-// `ctest` catches a hazard before the push.
+// `ctest` catches a hazard before the push. A plain text scan also keeps
+// hard-coded /tmp paths out of tests/.
 #include "analyze/code_lint.h"
 
 #include <gtest/gtest.h>
@@ -85,6 +86,23 @@ TEST(SelfScan, TelemetryClockReadsAreWaivedNotSilent) {
       [](const Finding& f) { return f.id == "determinism.allowed"; }));
   EXPECT_EQ(waived, determinism_waivers_in_source());
   EXPECT_GE(waived, 8u);
+}
+
+TEST(SelfScan, TestsWriteNoFixedTmpPaths) {
+  // ctest -j runs every test case as its own concurrent process, so a
+  // hard-coded /tmp file is shared by whichever cases write it. Tests take
+  // per-test paths from tests/common/temp_path.h instead.
+  const std::string needle = std::string("\"/") + "tmp/";
+  for (const auto& e : std::filesystem::recursive_directory_iterator(
+           std::filesystem::path(COSPARSE_SOURCE_ROOT) / "tests")) {
+    if (!e.is_regular_file()) continue;
+    std::ifstream in(e.path());
+    std::string line;
+    for (int n = 1; std::getline(in, line); ++n) {
+      EXPECT_EQ(line.find(needle), std::string::npos)
+          << e.path().string() << ":" << n << ": " << line;
+    }
+  }
 }
 
 TEST(SelfScan, KernelTusCarryContractOffWhenDbPresent) {

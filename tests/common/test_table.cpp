@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "temp_path.h"
 
 namespace cosparse {
 namespace {
@@ -39,7 +40,7 @@ TEST(Table, CsvRoundTrip) {
   Table t({"x", "y"});
   t.add_row({"1", "2"});
   t.add_row({"3", "4"});
-  const std::string path = "/tmp/cosparse_table_test.csv";
+  const std::string path = test::unique_temp_path("table.csv");
   t.write_csv(path);
   std::ifstream in(path);
   std::string line;

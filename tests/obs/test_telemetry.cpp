@@ -6,10 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <string>
 
+#include "../common/temp_path.h"
 #include "common/error.h"
 #include "obs/exporter.h"
 
@@ -205,8 +207,8 @@ struct ExportedFiles {
 };
 
 ExportedFiles export_one_snapshot() {
-  const std::string jsonl_path = ::testing::TempDir() + "cosparse_t.jsonl";
-  const std::string prom_path = ::testing::TempDir() + "cosparse_t.prom";
+  const std::string jsonl_path = test::unique_temp_path("t.jsonl");
+  const std::string prom_path = test::unique_temp_path("t.prom");
   ExporterOptions eopts;
   eopts.jsonl_path = jsonl_path;
   eopts.prom_path = prom_path;
@@ -221,7 +223,10 @@ ExportedFiles export_one_snapshot() {
   t.histogram("lat_ms").observe(2.5);
   t.flush();
   exporter.stop();
-  return {read_file(jsonl_path), read_file(prom_path)};
+  ExportedFiles files{read_file(jsonl_path), read_file(prom_path)};
+  std::remove(jsonl_path.c_str());
+  std::remove(prom_path.c_str());
+  return files;
 }
 
 TEST(TelemetryExporter, JsonlSnapshotMatchesGolden) {
@@ -261,7 +266,7 @@ TEST(TelemetryExporter, MetricNamesAreSanitized) {
 }
 
 TEST(TelemetryExporter, BackgroundStopDrainsTheQueue) {
-  const std::string jsonl_path = ::testing::TempDir() + "cosparse_bg.jsonl";
+  const std::string jsonl_path = test::unique_temp_path("bg.jsonl");
   ExporterOptions eopts;
   eopts.jsonl_path = jsonl_path;
   {
@@ -280,7 +285,7 @@ TEST(TelemetryExporter, BackgroundStopDrainsTheQueue) {
 }
 
 TEST(TelemetryExporter, FlushWaitsForInFlightLines) {
-  const std::string jsonl_path = ::testing::TempDir() + "cosparse_fl.jsonl";
+  const std::string jsonl_path = test::unique_temp_path("fl.jsonl");
   ExporterOptions eopts;
   eopts.jsonl_path = jsonl_path;
   TelemetryExporter exporter(eopts);
@@ -293,7 +298,7 @@ TEST(TelemetryExporter, FlushWaitsForInFlightLines) {
 // ---- snapshots omit unused histograms; report_json shape ----
 
 TEST(Telemetry, SnapshotsSkipHistogramsWithNoSamples) {
-  const std::string jsonl_path = ::testing::TempDir() + "cosparse_sk.jsonl";
+  const std::string jsonl_path = test::unique_temp_path("sk.jsonl");
   ExporterOptions eopts;
   eopts.jsonl_path = jsonl_path;
   eopts.background = false;

@@ -7,6 +7,7 @@
 #include <sstream>
 #include <vector>
 
+#include "../common/temp_path.h"
 #include "graph/algorithms.h"
 #include "kernels/semiring.h"
 #include "runtime/engine.h"
@@ -157,7 +158,7 @@ TEST(Trace, DisabledTraceKeepsEngineLogIdentical) {
 TEST(Trace, WriteCreatesParentDirectories) {
   Trace t(true);
   t.add_span("a", "s", 0, 1);
-  const auto dir = ::testing::TempDir() + "cosparse_trace_test";
+  const auto dir = test::unique_temp_path("trace_dir");
   const std::string path = dir + "/nested/trace.json";
   t.write(path);
   std::ifstream in(path);

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 
+#include "../common/temp_path.h"
 #include "common/error.h"
 #include "sparse/generate.h"
 
@@ -15,7 +16,7 @@ class IoTest : public ::testing::Test {
  protected:
   std::string write_file(const std::string& content) {
     const std::string path =
-        "/tmp/cosparse_io_test_" + std::to_string(counter_++) + ".tmp";
+        test::unique_temp_path(std::to_string(counter_++) + ".tmp");
     std::ofstream out(path);
     out << content;
     out.close();

@@ -4,8 +4,10 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 
+#include "../common/temp_path.h"
 #include "common/error.h"
 #include "sparse/datasets.h"
 #include "sparse/generate.h"
@@ -16,7 +18,7 @@ namespace {
 class SerializeTest : public ::testing::Test {
  protected:
   std::string path(const std::string& name) {
-    const std::string p = "/tmp/cosparse_ser_" + name + ".bin";
+    const std::string p = test::unique_temp_path(name + ".bin");
     paths_.push_back(p);
     return p;
   }
@@ -89,7 +91,7 @@ TEST_F(SerializeTest, CorruptionRejectedByChecksum) {
 TEST_F(SerializeTest, DatasetCacheViaEnvironment) {
   // With COSPARSE_CACHE_DIR set, a second load must reuse the cached file
   // and produce the identical graph.
-  const std::string dir = "/tmp/cosparse_cache_test";
+  const std::string dir = test::unique_temp_path("cache");
   setenv("COSPARSE_CACHE_DIR", dir.c_str(), 1);
   DatasetRegistry reg;
   const auto a = reg.load("twitter", 128);
@@ -98,7 +100,7 @@ TEST_F(SerializeTest, DatasetCacheViaEnvironment) {
   const auto b = reg.load("twitter", 128);
   EXPECT_EQ(a.adjacency().triplets(), b.adjacency().triplets());
   unsetenv("COSPARSE_CACHE_DIR");
-  std::remove(cached.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

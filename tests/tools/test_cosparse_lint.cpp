@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "../common/temp_path.h"
 namespace cosparse::tools {
 namespace {
 
@@ -137,7 +138,7 @@ TEST(CosparseLint, MalformedPlanBecomesFindingNotCrash) {
 // ---- CLI driver: exit codes and output modes ----
 
 std::string write_temp(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::unique_temp_path(name);
   std::ofstream out(path);
   out << text;
   return path;
@@ -241,7 +242,7 @@ TEST(CosparseLintCli, TruncatedInputIsReportedUnderItsSubcommand) {
 
 TEST(CosparseLintCli, ReportOutWritesDocument) {
   const auto plan = write_temp("clean3.plan.json", kQuickstartPlan);
-  const auto out_path = ::testing::TempDir() + "lint_report.json";
+  const auto out_path = test::unique_temp_path("lint_report.json");
   EXPECT_EQ(run_cli({"plan", plan, "--report-out", out_path}, nullptr), 0);
   std::ifstream in(out_path);
   ASSERT_TRUE(in.good());

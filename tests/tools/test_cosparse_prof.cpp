@@ -6,6 +6,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "../common/temp_path.h"
 #include "common/error.h"
 
 namespace cosparse::tools {
@@ -138,7 +139,7 @@ TEST(Diff, PerRegionMissesAreInformationalOnly) {
 }
 
 std::string write_temp(const std::string& name, const Json& doc) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::unique_temp_path(name);
   std::ofstream out(path);
   out << doc.dump(2);
   return path;
@@ -171,7 +172,7 @@ TEST(ProfMain, UsageAndValidationErrors) {
 }
 
 std::string write_text(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::unique_temp_path(name);
   std::ofstream out(path);
   out << text;
   return path;
@@ -226,7 +227,7 @@ const char* kFoldedB = "x.one;sym_a 30\nx.two;sym_b 70\n";
 
 TEST(ProfMain, FlameWritesHtmlAndPrintsPhases) {
   const std::string folded = write_text("prof_flame.folded", kFoldedA);
-  const std::string html = ::testing::TempDir() + "prof_flame.html";
+  const std::string html = test::unique_temp_path("prof_flame.html");
   EXPECT_EQ(run_main({"flame", folded, "--out", html}), 0);
   std::ifstream in(html);
   ASSERT_TRUE(in.good());

@@ -9,6 +9,8 @@
 #include <sstream>
 #include <string>
 
+#include "../common/temp_path.h"
+
 namespace cosparse::tools {
 namespace {
 
@@ -126,7 +128,7 @@ TEST(CosparseTop, ZeroWidthMeansUnlimited) {
 }
 
 TEST(CosparseTop, MainAcceptsWidthOption) {
-  const std::string path = ::testing::TempDir() + "cosparse_top_w.jsonl";
+  const std::string path = test::unique_temp_path("cosparse_top_w.jsonl");
   {
     std::ofstream out(path);
     out << kTwoSnapshots;
@@ -145,7 +147,7 @@ TEST(CosparseTop, MainAcceptsWidthOption) {
 }
 
 TEST(CosparseTop, MainRendersAFileOnce) {
-  const std::string path = ::testing::TempDir() + "cosparse_top_in.jsonl";
+  const std::string path = test::unique_temp_path("cosparse_top_in.jsonl");
   {
     std::ofstream out(path);
     out << kTwoSnapshots;
@@ -159,7 +161,7 @@ TEST(CosparseTop, MainRendersAFileOnce) {
 }
 
 TEST(CosparseTop, MainFollowModeRepaintsBoundedFrames) {
-  const std::string path = ::testing::TempDir() + "cosparse_top_f.jsonl";
+  const std::string path = test::unique_temp_path("cosparse_top_f.jsonl");
   {
     std::ofstream out(path);
     out << kTwoSnapshots;

@@ -9,13 +9,14 @@
 #include <string>
 #include <vector>
 
+#include "../common/temp_path.h"
 #include "common/json.h"
 
 namespace cosparse::tools {
 namespace {
 
 std::string write_temp(const std::string& name, const std::string& text) {
-  const std::string path = ::testing::TempDir() + name;
+  const std::string path = test::unique_temp_path(name);
   std::ofstream out(path);
   out << text;
   return path;
@@ -82,7 +83,7 @@ TEST(Cosparsed, UsageErrors) {
 
 TEST(Cosparsed, ReplayWritesAWellFormedReport) {
   const std::string cfg = tiny_config_path();
-  const std::string report_path = ::testing::TempDir() + "cd_report.json";
+  const std::string report_path = test::unique_temp_path("cd_report.json");
   std::string out;
   ASSERT_EQ(run({"--config", cfg, "--report-out", report_path}, &out), 0);
   EXPECT_NE(out.find("admitted"), std::string::npos);
@@ -103,7 +104,7 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
       "{\"dataset\": \"nope\", \"algo\": \"bfs\"}\n"
       "{\"dataset\": \"vsp\", \"algo\": \"bfs\", \"sauce\": 1}\n"
       "{\"dataset\": \"vsp\", \"algo\": \"pagerank\"}\n");
-  const std::string responses = ::testing::TempDir() + "cd_resp.jsonl";
+  const std::string responses = test::unique_temp_path("cd_resp.jsonl");
   ASSERT_EQ(run({"--config", cfg, "--requests", requests,
                  "--report-out", "", "--responses-out", responses}),
             0);
@@ -128,7 +129,7 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
 
 TEST(Cosparsed, TraceOutRoundTripsThroughRequests) {
   const std::string cfg = tiny_config_path();
-  const std::string trace_path = ::testing::TempDir() + "cd_trace.jsonl";
+  const std::string trace_path = test::unique_temp_path("cd_trace.jsonl");
   ASSERT_EQ(run({"--config", cfg, "--trace-out", trace_path}), 0);
 
   // Strip the generator-assigned ids (line numbers take over) and feed
@@ -150,8 +151,8 @@ TEST(Cosparsed, TraceOutRoundTripsThroughRequests) {
   const std::string requests =
       write_temp("cd_trace_requests.jsonl", stripped.str());
 
-  const std::string replay_report = ::testing::TempDir() + "cd_replay.json";
-  const std::string stream_report = ::testing::TempDir() + "cd_stream.json";
+  const std::string replay_report = test::unique_temp_path("cd_replay.json");
+  const std::string stream_report = test::unique_temp_path("cd_stream.json");
   ASSERT_EQ(run({"--config", cfg, "--report-out", replay_report}), 0);
   ASSERT_EQ(run({"--config", cfg, "--requests", requests,
                  "--report-out", stream_report}),
@@ -165,8 +166,8 @@ TEST(Cosparsed, TraceOutRoundTripsThroughRequests) {
 
 TEST(Cosparsed, ReportIsByteStableAcrossRuns) {
   const std::string cfg = tiny_config_path();
-  const std::string a = ::testing::TempDir() + "cd_a.json";
-  const std::string b = ::testing::TempDir() + "cd_b.json";
+  const std::string a = test::unique_temp_path("cd_a.json");
+  const std::string b = test::unique_temp_path("cd_b.json");
   ASSERT_EQ(run({"--config", cfg, "--report-out", a,
                  "--serve-threads", "1"}),
             0);
