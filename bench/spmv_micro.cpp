@@ -1,12 +1,14 @@
 // Kernel-level microbenchmarks (google-benchmark).
 //
-// These time the host-side building blocks — format conversions,
-// partitioning, frontier conversions, the simulator's access path and the
-// native baseline SpMV — so regressions in the reproduction's own
-// performance are visible independently of the simulated results.
+// These time the host-side building blocks — matrix assembly, dataset
+// load, format conversions, partitioning, frontier conversions, the
+// simulator's access path and the native baseline SpMV — so regressions in
+// the reproduction's own performance are visible independently of the
+// simulated results.
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "baselines/cpu_spmv.h"
@@ -17,6 +19,7 @@
 #include "kernels/op_spmv.h"
 #include "kernels/partition.h"
 #include "sim/machine.h"
+#include "sparse/datasets.h"
 #include "sparse/generate.h"
 
 namespace {
@@ -56,6 +59,51 @@ void BM_Transpose(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Transpose);
+
+void BM_CooAssemble(benchmark::State& state, bool canonical) {
+  // Coo canonicalization of a twitter-sized triplet list (1,768,149 entries
+  // in an 81,306-square matrix), shuffled or already in canonical order;
+  // both go through the same radix sort and merge. The input copy is not
+  // timed.
+  constexpr Index kN = 81306;
+  static const std::vector<sparse::Triplet> sorted =
+      sparse::uniform_random(kN, kN, 1768149, 11,
+                             sparse::ValueDist::kUniformInt)
+          .triplets();
+  std::vector<sparse::Triplet> input = sorted;
+  if (!canonical) {
+    Rng rng(13, "bench.coo_assemble");
+    for (std::size_t i = input.size(); i > 1; --i) {
+      std::swap(input[i - 1], input[rng.next_below(i)]);
+    }
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<sparse::Triplet> copy = input;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(sparse::Coo(kN, kN, std::move(copy)));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK_CAPTURE(BM_CooAssemble, shuffled, false)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_CooAssemble, canonical, true)
+    ->Unit(benchmark::kMillisecond);
+
+void BM_DatasetLoad(benchmark::State& state, const char* name,
+                    unsigned scale) {
+  // Stand-in generation end to end (DatasetRegistry::load without a cache
+  // directory): R-MAT sampling, folding, top-up and one canonicalization.
+  const sparse::DatasetRegistry registry;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(registry.load(name, scale));
+  }
+}
+BENCHMARK_CAPTURE(BM_DatasetLoad, twitter_64, "twitter", 64)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_DatasetLoad, pokec_64, "pokec", 64)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_IpPartitionBuild(benchmark::State& state) {
   const auto& m = test_matrix();

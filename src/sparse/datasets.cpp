@@ -3,12 +3,11 @@
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
-#include <unordered_set>
 
 #include "common/error.h"
 #include "common/log.h"
 #include "common/rng.h"
-#include "sparse/generate.h"
+#include "sparse/assembly.h"
 #include "sparse/io.h"
 #include "sparse/serialize.h"
 
@@ -101,58 +100,54 @@ Graph DatasetRegistry::load(const std::string& name, unsigned scale,
   const std::uint64_t seed =
       seed_for(name) ^ (seed_offset * 0x9E3779B97F4A7C15ULL);
 
-  Coo adj;
+  // Every stand-in is assembled as one triplet list and canonicalized
+  // once. Its values are integers, so duplicate sums are exact in any order.
+  std::vector<Triplet> triplets;
   if (s.power_law) {
     // R-MAT with standard Graph500-like skew reproduces the heavy-tailed
     // degree distribution of the SNAP social networks. The matrix is
     // generated at the next power-of-two dimension and cropped.
     const auto rmat_scale = static_cast<std::uint32_t>(
         std::ceil(std::log2(static_cast<double>(vertices))));
-    Coo square = rmat(rmat_scale, edges, 0.57, 0.19, 0.19, seed,
-                      ValueDist::kUniformInt);
-    std::vector<Triplet> cropped;
-    cropped.reserve(square.nnz());
-    for (const auto& t : square.triplets()) {
-      // Fold out-of-range coordinates back instead of dropping them so the
-      // edge count stays (nearly) exact.
-      Triplet folded{t.row % vertices, t.col % vertices, t.value};
-      cropped.push_back(folded);
+    triplets = rmat_triplets(rmat_scale, edges, 0.57, 0.19, 0.19, seed,
+                             ValueDist::kUniformInt);
+    // Fold out-of-range coordinates back instead of dropping them so the
+    // edge count stays (nearly) exact.
+    FlatKeySet seen(edges);
+    for (Triplet& t : triplets) {
+      t.row %= vertices;
+      t.col %= vertices;
+      seen.insert(pack(t.row, t.col));
     }
-    adj = Coo(vertices, vertices, std::move(cropped));
     // Folding can collide a few edges (Coo combines duplicates); top the
     // count back up with uniform extras so |E| matches the spec exactly.
-    if (adj.nnz() < edges) {
-      std::unordered_set<std::uint64_t> seen;
-      seen.reserve(adj.nnz() * 2);
-      std::vector<Triplet> topped = adj.triplets();
-      for (const auto& t : topped) {
-        seen.insert((static_cast<std::uint64_t>(t.row) << 32) | t.col);
-      }
+    if (seen.size() < edges) {
+      triplets.reserve(triplets.size() + (edges - seen.size()));
       Rng rng(seed ^ 0xA5A5A5A5ULL);
-      while (topped.size() < edges) {
+      while (seen.size() < edges) {
         const auto r = static_cast<Index>(rng.next_below(vertices));
         const auto c = static_cast<Index>(rng.next_below(vertices));
-        if (seen.insert((static_cast<std::uint64_t>(r) << 32) | c).second) {
-          topped.push_back(
+        if (seen.insert(pack(r, c))) {
+          triplets.push_back(
               {r, c, static_cast<Value>(1 + rng.next_below(16))});
         }
       }
-      adj = Coo(vertices, vertices, std::move(topped));
     }
   } else {
-    adj = uniform_random(vertices, vertices, edges, seed,
-                         ValueDist::kUniformInt);
+    triplets = uniform_triplets(vertices, vertices, edges, seed,
+                                ValueDist::kUniformInt);
   }
 
   if (!s.directed) {
     // Mirror edges for undirected graphs (youtube, vsp).
-    std::vector<Triplet> sym = adj.triplets();
-    sym.reserve(adj.nnz() * 2);
-    for (const auto& t : adj.triplets()) {
-      if (t.row != t.col) sym.push_back({t.col, t.row, t.value});
+    const std::size_t directed_count = triplets.size();
+    triplets.reserve(directed_count * 2);
+    for (std::size_t i = 0; i < directed_count; ++i) {
+      const Triplet t = triplets[i];
+      if (t.row != t.col) triplets.push_back({t.col, t.row, t.value});
     }
-    adj = Coo(vertices, vertices, std::move(sym));
   }
+  Coo adj(vertices, vertices, std::move(triplets));
 
   if (!cache_path.empty()) {
     try {

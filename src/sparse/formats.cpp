@@ -1,6 +1,8 @@
 #include "sparse/formats.h"
 
-#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <utility>
 
 #include "common/error.h"
 
@@ -12,6 +14,46 @@ double density_of(Index rows, Index cols, std::size_t nnz) {
   return cells == 0.0 ? 0.0 : static_cast<double>(nnz) / cells;
 }
 
+/// Stable LSD radix sort of in-bounds triplets on the key
+/// (row << bit_width(cols - 1)) | col: at most four passes of at most
+/// 16-bit digits. Scratch is one triplet buffer plus the digit histograms,
+/// independent of rows and cols.
+void sort_row_major(std::vector<Triplet>& triplets, Index rows, Index cols) {
+  const auto col_bits = static_cast<unsigned>(std::bit_width(cols - 1U));
+  const auto key_bits =
+      col_bits + static_cast<unsigned>(std::bit_width(rows - 1U));
+  const unsigned passes = (key_bits + 15) / 16;
+  if (passes == 0) return;
+  const unsigned digit_bits = (key_bits + passes - 1) / passes;
+  const std::size_t radix = std::size_t{1} << digit_bits;
+  const std::uint64_t mask = radix - 1;
+  const auto key = [col_bits](const Triplet& t) {
+    return (static_cast<std::uint64_t>(t.row) << col_bits) | t.col;
+  };
+  // One read fills every pass's histogram.
+  std::vector<std::size_t> count(passes * radix, 0);
+  for (const Triplet& t : triplets) {
+    const std::uint64_t k = key(t);
+    for (unsigned p = 0; p < passes; ++p) {
+      ++count[p * radix + ((k >> (p * digit_bits)) & mask)];
+    }
+  }
+  std::vector<Triplet> buffer;
+  for (unsigned p = 0; p < passes; ++p) {
+    std::size_t* digit = count.data() + p * radix;
+    std::size_t offset = 0;
+    for (std::size_t d = 0; d < radix; ++d) {
+      offset += std::exchange(digit[d], offset);
+    }
+    buffer.resize(triplets.size());
+    const unsigned shift = p * digit_bits;
+    for (const Triplet& t : triplets) {
+      buffer[digit[(key(t) >> shift) & mask]++] = t;
+    }
+    triplets.swap(buffer);
+  }
+}
+
 }  // namespace
 
 Coo::Coo(Index rows, Index cols, std::vector<Triplet> triplets)
@@ -20,11 +62,9 @@ Coo::Coo(Index rows, Index cols, std::vector<Triplet> triplets)
     COSPARSE_REQUIRE(t.row < rows_ && t.col < cols_,
                      "COO triplet out of bounds");
   }
-  std::sort(triplets_.begin(), triplets_.end(),
-            [](const Triplet& a, const Triplet& b) {
-              return a.row != b.row ? a.row < b.row : a.col < b.col;
-            });
+  sort_row_major(triplets_, rows_, cols_);
   // Combine duplicates by summation (standard triplet-assembly semantics).
+  // The sort is stable, so each sum runs in input order.
   std::size_t out = 0;
   for (std::size_t i = 0; i < triplets_.size(); ++i) {
     if (out > 0 && triplets_[out - 1].row == triplets_[i].row &&

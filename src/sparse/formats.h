@@ -22,13 +22,16 @@ struct Triplet {
   friend bool operator==(const Triplet&, const Triplet&) = default;
 };
 
-/// Coordinate format, sorted row-major (row, then column), duplicates
-/// combined at construction. This is the IP kernel's streaming layout.
+/// Coordinate format in canonical form: sorted row-major (row, then
+/// column), one entry per coordinate. This is the IP kernel's streaming
+/// layout.
 class Coo {
  public:
   Coo() = default;
-  /// Builds from an arbitrary triplet list; sorts row-major and sums
-  /// duplicate coordinates.
+  /// Builds from an arbitrary triplet list in O(nnz): a stable radix sort
+  /// into row-major order, then duplicate coordinates summed in input
+  /// order.
+  /// Throws cosparse::Error on an entry outside rows x cols.
   Coo(Index rows, Index cols, std::vector<Triplet> triplets);
 
   [[nodiscard]] Index rows() const { return rows_; }

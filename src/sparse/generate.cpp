@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <unordered_set>
 #include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "sparse/assembly.h"
 
 namespace cosparse::sparse {
 namespace {
@@ -23,22 +23,18 @@ Value draw_value(Rng& rng, ValueDist dist) {
   return 1.0;
 }
 
-std::uint64_t pack(Index row, Index col) {
-  return (static_cast<std::uint64_t>(row) << 32) | col;
-}
-
 /// Draws until `nnz` distinct coordinates are collected. `sample` yields a
 /// (row, col) pair per call. Rejection is cheap as long as the target
 /// density is well below 1, which holds for every workload in the paper
 /// (densities <= 5e-3).
 template <class Sampler>
-Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
-                  ValueDist dist, Sampler&& sample) {
+std::vector<Triplet> fill_distinct(Index rows, Index cols, std::uint64_t nnz,
+                                   Rng& rng, ValueDist dist,
+                                   Sampler&& sample) {
   const double cells = static_cast<double>(rows) * static_cast<double>(cols);
   COSPARSE_REQUIRE(static_cast<double>(nnz) <= cells,
                    "requested nnz exceeds matrix capacity");
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(nnz) * 2);
+  FlatKeySet seen(static_cast<std::size_t>(nnz));
   std::vector<Triplet> triplets;
   triplets.reserve(static_cast<std::size_t>(nnz));
   // For near-full matrices rejection would stall; guard with a generous cap
@@ -48,7 +44,7 @@ Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
   while (triplets.size() < nnz && draws < max_draws) {
     ++draws;
     auto [r, c] = sample();
-    if (seen.insert(pack(r, c)).second) {
+    if (seen.insert(pack(r, c))) {
       triplets.push_back({r, c, draw_value(rng, dist)});
     }
   }
@@ -56,13 +52,13 @@ Coo fill_distinct(Index rows, Index cols, std::uint64_t nnz, Rng& rng,
     // Deterministic fallback: enumerate remaining empty cells in order.
     for (Index r = 0; r < rows && triplets.size() < nnz; ++r) {
       for (Index c = 0; c < cols && triplets.size() < nnz; ++c) {
-        if (seen.insert(pack(r, c)).second) {
+        if (seen.insert(pack(r, c))) {
           triplets.push_back({r, c, draw_value(rng, dist)});
         }
       }
     }
   }
-  return Coo(rows, cols, std::move(triplets));
+  return triplets;
 }
 
 /// Cumulative-weight sampler over a power-law weight profile.
@@ -91,14 +87,20 @@ class PowerLawSampler {
 
 }  // namespace
 
-Coo uniform_random(Index rows, Index cols, std::uint64_t nnz,
-                   std::uint64_t seed, ValueDist dist) {
+std::vector<Triplet> uniform_triplets(Index rows, Index cols,
+                                      std::uint64_t nnz, std::uint64_t seed,
+                                      ValueDist dist) {
   Rng rng(seed, "uniform_random");
   return fill_distinct(rows, cols, nnz, rng, dist, [&] {
     const Index r = static_cast<Index>(rng.next_below(rows));
     const Index c = static_cast<Index>(rng.next_below(cols));
     return std::pair<Index, Index>{r, c};
   });
+}
+
+Coo uniform_random(Index rows, Index cols, std::uint64_t nnz,
+                   std::uint64_t seed, ValueDist dist) {
+  return Coo(rows, cols, uniform_triplets(rows, cols, nnz, seed, dist));
 }
 
 Coo power_law(Index rows, Index cols, std::uint64_t nnz, double beta,
@@ -122,40 +124,47 @@ Coo power_law(Index rows, Index cols, std::uint64_t nnz, double beta,
     std::swap(col_perm[i - 1],
               col_perm[static_cast<Index>(rng.next_below(i))]);
   }
-  return fill_distinct(rows, cols, nnz, rng, dist, [&] {
-    const Index r = row_perm[row_sampler.draw(rng)];
-    const Index c = col_perm[col_sampler.draw(rng)];
-    return std::pair<Index, Index>{r, c};
-  });
+  std::vector<Triplet> triplets =
+      fill_distinct(rows, cols, nnz, rng, dist, [&] {
+        const Index r = row_perm[row_sampler.draw(rng)];
+        const Index c = col_perm[col_sampler.draw(rng)];
+        return std::pair<Index, Index>{r, c};
+      });
+  return Coo(rows, cols, std::move(triplets));
 }
 
-Coo rmat(std::uint32_t scale, std::uint64_t nnz, double a, double b, double c,
-         std::uint64_t seed, ValueDist dist) {
+std::vector<Triplet> rmat_triplets(std::uint32_t scale, std::uint64_t nnz,
+                                   double a, double b, double c,
+                                   std::uint64_t seed, ValueDist dist) {
   COSPARSE_REQUIRE(scale > 0 && scale < 31, "R-MAT scale out of range");
   const double d = 1.0 - a - b - c;
   COSPARSE_REQUIRE(a >= 0 && b >= 0 && c >= 0 && d >= -1e-9,
                    "R-MAT probabilities must sum to <= 1");
   const Index n = Index{1} << scale;
+  const double ab = a + b;
+  const double abc = a + b + c;
   Rng rng(seed, "rmat");
   return fill_distinct(n, n, nnz, rng, dist, [&] {
+    // Quadrant per level: u < a top-left, < a+b top-right, < a+b+c
+    // bottom-left, else bottom-right, as bits rather than branches.
     Index r = 0, col = 0;
     for (std::uint32_t level = 0; level < scale; ++level) {
       const double u = rng.next_double();
-      r <<= 1;
-      col <<= 1;
-      if (u < a) {
-        // top-left quadrant: nothing to add
-      } else if (u < a + b) {
-        col |= 1;
-      } else if (u < a + b + c) {
-        r |= 1;
-      } else {
-        r |= 1;
-        col |= 1;
-      }
+      const bool lower = u >= ab;
+      const bool right = ((u >= a) & !lower) | (u >= abc);
+      r = (r << 1) | Index{lower};
+      col = (col << 1) | Index{right};
     }
     return std::pair<Index, Index>{r, col};
   });
+}
+
+Coo rmat(std::uint32_t scale, std::uint64_t nnz, double a, double b, double c,
+         std::uint64_t seed, ValueDist dist) {
+  std::vector<Triplet> triplets =
+      rmat_triplets(scale, nnz, a, b, c, seed, dist);  // validates scale
+  const Index n = Index{1} << scale;
+  return Coo(n, n, std::move(triplets));
 }
 
 Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
@@ -172,8 +181,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
   }
   COSPARSE_REQUIRE(nnz <= capacity, "requested nnz exceeds band capacity");
   Rng rng(seed, "banded");
-  std::unordered_set<std::uint64_t> seen;
-  seen.reserve(static_cast<std::size_t>(nnz) * 2);
+  FlatKeySet seen(static_cast<std::size_t>(nnz));
   std::vector<Triplet> triplets;
   triplets.reserve(static_cast<std::size_t>(nnz));
   const std::uint64_t max_draws = nnz * 64 + 1024;
@@ -186,7 +194,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
     if (hi < lo) continue;  // row has no in-band columns (cols << rows)
     const Index c =
         lo + static_cast<Index>(rng.next_below(hi - lo + std::uint64_t{1}));
-    if (seen.insert(pack(r, c)).second) {
+    if (seen.insert(pack(r, c))) {
       triplets.push_back({r, c, draw_value(rng, dist)});
     }
   }
@@ -196,7 +204,7 @@ Coo banded(Index rows, Index cols, Index bandwidth, std::uint64_t nnz,
     const Index lo = r > bandwidth ? r - bandwidth : 0;
     const Index hi = std::min<Index>(cols - 1, r + bandwidth);
     for (Index c = lo; c <= hi && triplets.size() < nnz; ++c) {
-      if (seen.insert(pack(r, c)).second) {
+      if (seen.insert(pack(r, c))) {
         triplets.push_back({r, c, draw_value(rng, dist)});
       }
     }
@@ -240,12 +248,13 @@ SparseVector random_sparse_vector(Index dimension, double density,
   const auto target = static_cast<std::uint64_t>(
       std::ceil(density * static_cast<double>(dimension)));
   Rng rng(seed, "random_sparse_vector");
-  std::unordered_set<Index> chosen;
-  chosen.reserve(static_cast<std::size_t>(target) * 2);
-  while (chosen.size() < target) {
-    chosen.insert(static_cast<Index>(rng.next_below(dimension)));
+  FlatKeySet chosen(static_cast<std::size_t>(target));
+  std::vector<Index> idx;
+  idx.reserve(static_cast<std::size_t>(target));
+  while (idx.size() < target) {
+    const auto i = static_cast<Index>(rng.next_below(dimension));
+    if (chosen.insert(i)) idx.push_back(i);
   }
-  std::vector<Index> idx(chosen.begin(), chosen.end());
   std::sort(idx.begin(), idx.end());
   SparseVector out(dimension);
   for (Index i : idx) out.push_back(i, draw_value(rng, dist));

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -100,6 +101,12 @@ Coo read_edge_list(const std::string& path, bool undirected) {
     if (!(ls >> u >> v)) throw Error(path + ": malformed edge line: " + line);
     ls >> w;  // optional weight
     if (u < 0 || v < 0) throw Error(path + ": negative vertex id: " + line);
+    // Ids must fit Index with room for n = max_id + 1.
+    constexpr long long kMaxId = std::numeric_limits<Index>::max() - 1LL;
+    if (u > kMaxId || v > kMaxId) {
+      throw Error(path + ": vertex id exceeds " + std::to_string(kMaxId) +
+                  ": " + line);
+    }
     const auto ui = static_cast<Index>(u);
     const auto vi = static_cast<Index>(v);
     max_id = std::max({max_id, ui, vi});

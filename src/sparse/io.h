@@ -23,7 +23,8 @@ void write_matrix_market(const std::string& path, const Coo& coo);
 /// Reads a SNAP-style edge list: `#`-comment lines, then one
 /// `src dst [weight]` per line (0- or 1-based; indices are used verbatim and
 /// the matrix is sized to the max index + 1). `undirected` mirrors each
-/// edge.
+/// edge. Ids above 2^32 - 2 do not fit Index with room for the count and
+/// are rejected with the offending line.
 Coo read_edge_list(const std::string& path, bool undirected = false);
 
 }  // namespace cosparse::sparse

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "common/error.h"
@@ -75,6 +76,19 @@ Coo read_binary(const std::string& path) {
   const auto rows = get<Index>(in, path);
   const auto cols = get<Index>(in, path);
   const auto nnz = get<std::uint64_t>(in, path);
+  // Check the declared count against the file before allocating for it: a
+  // corrupt header must be an Error, not a huge allocation.
+  const auto payload_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  const auto payload_bytes =
+      static_cast<std::uint64_t>(in.tellg() - payload_start);
+  in.seekg(payload_start);
+  constexpr std::uint64_t kTripletBytes =
+      sizeof(Index) + sizeof(Index) + sizeof(Value);
+  if (!in || nnz > payload_bytes / kTripletBytes) {
+    throw Error(path + ": declared nnz " + std::to_string(nnz) +
+                " exceeds the file size (corrupt matrix file)");
+  }
   std::vector<Triplet> triplets;
   triplets.reserve(nnz);
   for (std::uint64_t i = 0; i < nnz; ++i) {

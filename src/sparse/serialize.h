@@ -19,8 +19,8 @@ namespace cosparse::sparse {
 void write_binary(const std::string& path, const Coo& coo);
 
 /// Reads a matrix written by write_binary. Throws cosparse::Error on
-/// missing file, bad magic, version mismatch, truncation, or checksum
-/// mismatch.
+/// missing file, bad magic, version mismatch, a declared entry count the
+/// file is too short to hold, truncation, or checksum mismatch.
 Coo read_binary(const std::string& path);
 
 }  // namespace cosparse::sparse

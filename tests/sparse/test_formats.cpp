@@ -2,7 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "common/error.h"
+#include "common/rng.h"
+#include "sparse/assembly.h"
 #include "sparse/generate.h"
 
 namespace cosparse::sparse {
@@ -149,6 +157,123 @@ TEST(Csc, ColumnsSortedByRowAfterConversion) {
       EXPECT_LT(csc.row_idx()[k - 1], csc.row_idx()[k]);
     }
   }
+}
+
+// ---- Coo canonical form -------------------------------------------------
+
+/// The specified canonical form: std::stable_sort on (row, col), then
+/// duplicates summed in input order.
+std::vector<Triplet> reference_canonical(std::vector<Triplet> t) {
+  std::stable_sort(t.begin(), t.end(), [](const Triplet& a, const Triplet& b) {
+    return a.row != b.row ? a.row < b.row : a.col < b.col;
+  });
+  std::vector<Triplet> out;
+  for (const Triplet& x : t) {
+    if (!out.empty() && out.back().row == x.row && out.back().col == x.col) {
+      out.back().value += x.value;
+    } else {
+      out.push_back(x);
+    }
+  }
+  return out;
+}
+
+/// `n` triplets with coordinates in [0, row_span) x [0, col_span), offset
+/// by (row_base, col_base), and non-integer values of both signs.
+std::vector<Triplet> random_triplets(Rng& rng, std::size_t n, Index row_base,
+                                     Index row_span, Index col_base,
+                                     Index col_span) {
+  std::vector<Triplet> t(n);
+  for (Triplet& x : t) {
+    x.row = row_base + static_cast<Index>(rng.next_below(row_span));
+    x.col = col_base + static_cast<Index>(rng.next_below(col_span));
+    x.value = rng.next_double(-500.0, 500.0);
+  }
+  return t;
+}
+
+void expect_canonical(Index rows, Index cols, const std::vector<Triplet>& in,
+                      const std::string& label) {
+  const std::vector<Triplet> want = reference_canonical(in);
+  const Coo got(rows, cols, in);
+  ASSERT_EQ(got.nnz(), want.size()) << label;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const Triplet& g = got.triplets()[i];
+    ASSERT_TRUE(g.row == want[i].row && g.col == want[i].col &&
+                std::bit_cast<std::uint64_t>(g.value) ==
+                    std::bit_cast<std::uint64_t>(want[i].value))
+        << label << ": entry " << i << " is (" << g.row << ", " << g.col
+        << ", " << g.value << "), want (" << want[i].row << ", "
+        << want[i].col << ", " << want[i].value << ")";
+  }
+}
+
+TEST(CooCanonical, MatchesStableSortReference) {
+  Rng rng(17, "coo_canonical");
+  const Index kMax = 0xFFFFFFFFu;  // the largest dimension Index allows
+
+  const auto shuffled = random_triplets(rng, 50000, 0, 5000, 0, 7000);
+  expect_canonical(5000, 7000, shuffled, "shuffled");
+  // ~12 entries per coordinate: the sums expose any reordering.
+  const auto dup_heavy = random_triplets(rng, 20000, 0, 40, 0, 40);
+  expect_canonical(40, 40, dup_heavy, "duplicate-heavy");
+  expect_canonical(3, 3, {}, "empty");
+  expect_canonical(9, 9, {{4, 7, 0.25}}, "single entry");
+  expect_canonical(5000, 7000, reference_canonical(shuffled),
+                   "already canonical");
+  // Sorted but not strictly: the duplicates still have to be merged.
+  std::vector<Triplet> sorted_dups = dup_heavy;
+  std::stable_sort(sorted_dups.begin(), sorted_dups.end(),
+                   [](const Triplet& a, const Triplet& b) {
+                     return a.row != b.row ? a.row < b.row : a.col < b.col;
+                   });
+  expect_canonical(40, 40, sorted_dups, "sorted with duplicates");
+  // 64-bit keys (four 16-bit passes), including the last row and column.
+  auto widest = random_triplets(rng, 200, kMax - 1000, 1000, 0, 1000);
+  widest.push_back({kMax - 1, kMax - 1, 1.5});
+  widest.push_back({0, kMax - 1, 2.5});
+  widest.push_back({kMax - 1, 0, 3.5});
+  widest.push_back({kMax - 1, kMax - 1, -0.75});
+  expect_canonical(kMax, kMax, widest, "rows = cols = 2^32 - 1");
+  // Wide key, narrow spread: some digits are the same for every key.
+  expect_canonical(1u << 20, 1u << 20,
+                   random_triplets(rng, 30000, 1u << 19, 64, 77, 4096),
+                   "constant high digits");
+}
+
+TEST(FlatKeySet, RejectsDuplicates) {
+  FlatKeySet set;
+  EXPECT_TRUE(set.insert(5));
+  EXPECT_FALSE(set.insert(5));
+  EXPECT_TRUE(set.insert(0));
+  EXPECT_FALSE(set.insert(0));
+  EXPECT_EQ(set.size(), 2u);
+}
+
+TEST(FlatKeySet, GrowsPastReservedSize) {
+  FlatKeySet set(4);
+  for (std::uint64_t k = 0; k < 10000; ++k) EXPECT_TRUE(set.insert(k * 7919));
+  for (std::uint64_t k = 0; k < 10000; ++k) EXPECT_FALSE(set.insert(k * 7919));
+  EXPECT_EQ(set.size(), 10000u);
+}
+
+TEST(FlatKeySet, KeysWithHighBitsSet) {
+  // Keys that differ only above bit 31 (rows of pack()), only in bit 63,
+  // or that sit next to the reserved all-ones key.
+  FlatKeySet set;
+  std::vector<std::uint64_t> keys;
+  for (std::uint64_t r = 0; r < 64; ++r) keys.push_back(pack(Index(r), 3));
+  for (std::uint64_t k = 0; k < 16; ++k) {
+    keys.push_back(k << 60);
+    keys.push_back((k << 60) | (std::uint64_t{1} << 63));
+  }
+  keys.push_back(pack(0xFFFFFFFEu, 0xFFFFFFFEu));
+  keys.push_back(FlatKeySet::kEmpty - 1);
+  std::sort(keys.begin(), keys.end());
+  keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
+  for (std::uint64_t k : keys) EXPECT_TRUE(set.insert(k)) << k;
+  for (std::uint64_t k : keys) EXPECT_FALSE(set.insert(k)) << k;
+  EXPECT_EQ(set.size(), keys.size());
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
 
 #include "../common/temp_path.h"
 #include "common/error.h"
@@ -122,6 +123,31 @@ TEST_F(IoTest, EdgeListMalformedLine) {
 TEST_F(IoTest, EdgeListNegativeVertex) {
   const auto path = write_file("-1 2\n");
   EXPECT_THROW(read_edge_list(path), Error);
+}
+
+// Ids that do not fit Index must not alias smaller ids: 2^32 would
+// truncate to 0, and 2^32 - 1 would overflow n = max_id + 1 to 0.
+void expect_rejected_naming_line(const std::string& path,
+                                 const std::string& line) {
+  try {
+    (void)read_edge_list(path);
+    ADD_FAILURE() << "accepted: " << line;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(line), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(IoTest, EdgeListIdBeyondIndexRejected) {
+  expect_rejected_naming_line(write_file("0 1\n4294967296 2\n"),
+                              "4294967296 2");
+}
+
+TEST_F(IoTest, EdgeListIdOverflowingVertexCountRejected) {
+  expect_rejected_naming_line(write_file("4294967295 0\n"), "4294967295 0");
+  const Coo largest = read_edge_list(write_file("4294967294 0\n"));
+  EXPECT_EQ(largest.rows(), 4294967295u);
+  EXPECT_EQ(largest.nnz(), 1u);
 }
 
 TEST_F(IoTest, EmptyEdgeListYieldsEmptyMatrix) {

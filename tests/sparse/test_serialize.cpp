@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -86,6 +87,40 @@ TEST_F(SerializeTest, CorruptionRejectedByChecksum) {
   f.write(&b, 1);
   f.close();
   EXPECT_THROW(read_binary(p), Error);
+}
+
+// Overwrites the header's nnz field (after magic, version, rows, cols).
+void set_declared_nnz(const std::string& p, std::uint64_t nnz) {
+  std::fstream f(p, std::ios::binary | std::ios::in | std::ios::out);
+  f.seekp(8 + 4 + 4 + 4);
+  f.write(reinterpret_cast<const char*>(&nnz), sizeof(nnz));
+}
+
+TEST_F(SerializeTest, DeclaredNnzBeyondFileSizeRejected) {
+  const Coo m = uniform_random(100, 100, 1000, 10);
+  const auto p = path("nnz");
+  write_binary(p, m);
+  set_declared_nnz(p, std::uint64_t{1} << 40);
+  EXPECT_THROW((void)read_binary(p), Error);
+  set_declared_nnz(p, m.nnz() + 1);
+  EXPECT_THROW((void)read_binary(p), Error);
+}
+
+TEST_F(SerializeTest, CorruptDatasetCacheIsRegenerated) {
+  // A cache file whose header declares 2^40 entries is ignored with a
+  // warning, and the load regenerates the same graph as an uncached load.
+  const auto uncached = DatasetRegistry().load("twitter", 128);
+  const std::string dir = test::unique_temp_path("cache");
+  std::filesystem::create_directories(dir);
+  const std::string cached = dir + "/twitter_scale128.bin";
+  write_binary(cached, uncached.adjacency());
+  set_declared_nnz(cached, std::uint64_t{1} << 40);
+  setenv("COSPARSE_CACHE_DIR", dir.c_str(), 1);
+  const auto reloaded = DatasetRegistry().load("twitter", 128);
+  unsetenv("COSPARSE_CACHE_DIR");
+  EXPECT_EQ(reloaded.adjacency().triplets(), uncached.adjacency().triplets());
+  EXPECT_EQ(read_binary(cached).triplets(), uncached.adjacency().triplets());
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(SerializeTest, DatasetCacheViaEnvironment) {
