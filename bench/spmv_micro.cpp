@@ -2,11 +2,14 @@
 //
 // These time the host-side building blocks — matrix assembly, dataset
 // load, format conversions, partitioning, frontier conversions, the
-// simulator's access path and the native baseline SpMV — so regressions in
-// the reproduction's own performance are visible independently of the
-// simulated results.
+// simulator's access path, the native SpMV kernels and the native baseline
+// SpMV — so regressions in the reproduction's own performance are visible
+// independently of the simulated results.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -18,9 +21,14 @@
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
 #include "kernels/partition.h"
+#include "kernels/semiring.h"
+#include "native/spmv.h"
+#include "runtime/engine.h"
 #include "sim/machine.h"
+#include "sim/parallel.h"
 #include "sparse/datasets.h"
 #include "sparse/generate.h"
+#include "sparse/graph.h"
 
 namespace {
 
@@ -247,6 +255,76 @@ void BM_NativeCpuSpmv(benchmark::State& state) {
                           static_cast<std::int64_t>(csr.nnz()));
 }
 BENCHMARK(BM_NativeCpuSpmv);
+
+// Native kernels on twitter/1 with the perfbench system (8x8), through the
+// same entry points an Engine uses. Wall time on a shared host is noisy:
+// compare the minimum of --benchmark_repetitions=5.
+struct NativeFixture {
+  sim::SystemConfig cfg = sim::SystemConfig::transmuter(8, 8);
+  sparse::Graph graph = sparse::DatasetRegistry{}.load("twitter", 1);
+  std::shared_ptr<const runtime::PreparedMatrix> prepared =
+      runtime::prepare_matrix(graph.adjacency(), cfg);
+};
+
+const NativeFixture& native_fixture() {
+  static const NativeFixture f;
+  return f;
+}
+
+void BM_NativePull(benchmark::State& state, sim::HwConfig hw) {
+  // A PageRank iteration: every vertex active.
+  const auto& f = native_fixture();
+  const auto& layout =
+      hw == sim::HwConfig::kSCS ? f.prepared->ip_scs : f.prepared->ip_sc;
+  const auto x = kernels::DenseFrontier::from_dense(sparse::DenseVector(
+      f.graph.num_vertices(), 1.0 / f.graph.num_vertices()));
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  std::optional<sim::ParallelExecutor> exec;
+  if (threads > 0) exec.emplace(threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(native::pull_spmv(f.cfg, hw,
+                                               exec ? &*exec : nullptr, layout,
+                                               x, kernels::PageRankSemiring{}));
+  }
+  state.counters["vblocks"] = layout.num_vblocks();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(layout.nnz()));
+}
+BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC)
+    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS)
+    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+
+void BM_NativePush(benchmark::State& state) {
+  // A BFS push from the 170 highest out-degree vertices.
+  const auto& f = native_fixture();
+  const auto& deg = f.graph.out_degrees();
+  std::vector<Index> by_degree(deg.size());
+  for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&](Index a, Index b) { return deg[a] > deg[b]; });
+  by_degree.resize(170);
+  std::sort(by_degree.begin(), by_degree.end());
+  sparse::SparseVector x(f.graph.num_vertices());
+  std::int64_t edges = 0;
+  for (const Index v : by_degree) {
+    x.push_back(v, 0.0);
+    edges += deg[v];
+  }
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  std::optional<sim::ParallelExecutor> exec;
+  if (threads > 0) exec.emplace(threads);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(native::push_spmsv(
+        f.cfg, sim::HwConfig::kPC, exec ? &*exec : nullptr, f.prepared->op, x,
+        nullptr, kernels::BfsSemiring{}));
+  }
+  state.counters["edges"] = static_cast<double>(edges);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          edges);
+}
+BENCHMARK(BM_NativePush)
+    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -14,13 +14,17 @@
 // §III-A). Under PC the heap is ordinary cacheable memory, contending with
 // the k column streams for the 4 kB private L1.
 //
-// Execution interleaving: the PEs of a tile are advanced round-robin in
-// small bursts (kOpInterleavePops row-groups per turn) so that the shared
-// levels of the hierarchy (per-tile L2, DRAM) see the *concurrent* working
-// set of all PEs, not one PE's private working set at a time — this is
-// what makes long sorted lists expensive, exactly as §III-C.3 describes.
+// Execution interleaving: the simulated PEs of a tile are advanced
+// round-robin in small bursts (kOpInterleavePops row-groups per turn) so
+// that the shared levels of the hierarchy (per-tile L2, DRAM) see the
+// *concurrent* working set of all PEs, not one PE's private working set at
+// a time — this is what makes long sorted lists expensive, exactly as
+// §III-C.3 describes. Heaps and emitted lists are per PE and the LCP merge
+// runs after them, so the burst length (the machine's pe_burst(); host PEs
+// run to completion) orders charges, never results.
 #pragma once
 
+#include <utility>
 #include <vector>
 
 #include "kernels/address_map.h"
@@ -41,7 +45,8 @@ inline constexpr std::uint32_t kOpEntryBytes = 12;  ///< x (index, value)
 inline constexpr std::uint32_t kHeapNodeBytes = 16; ///< (row, cursor, end, x)
 inline constexpr std::uint32_t kColPtrBytes = 16;   ///< begin+end offsets
 
-/// Row-groups a PE completes before yielding to the next PE of its tile.
+/// Row-groups a simulated PE completes before yielding to the next PE of
+/// its tile.
 inline constexpr std::uint32_t kOpInterleavePops = 16;
 
 // Templated over the machine/address-map pair for the same reason as
@@ -122,6 +127,7 @@ OpResult run_outer_product(Machine& m, AMap& amap,
   // Per-tile finished rows; concatenated in tile order below (stripes are
   // ascending disjoint row ranges, so concatenation keeps y sorted).
   std::vector<std::vector<sparse::VectorEntry>> tile_rows(m.num_tiles());
+  const std::uint32_t burst = m.pe_burst(kOpInterleavePops);
 
   m.for_tiles([&](std::uint32_t tile) {
     const auto& stripe = stripes[tile];
@@ -213,9 +219,9 @@ OpResult run_outer_product(Machine& m, AMap& amap,
         PeState& st = state[lp];
         const std::uint32_t pe = tile * P + lp;
 
-        // Build phase burst: install up to kOpInterleavePops column heads.
-        std::uint32_t burst = kOpInterleavePops;
-        while (st.build_pos < st.build_end && burst > 0) {
+        // Build phase burst: install up to `burst` column heads.
+        std::uint32_t build_left = burst;
+        while (st.build_pos < st.build_end && build_left > 0) {
           const auto& e = x.entries()[st.build_pos];
           m.mem_read(pe, x_base + st.build_pos * kOpEntryBytes,
                      kOpEntryBytes);
@@ -225,7 +231,7 @@ OpResult run_outer_product(Machine& m, AMap& amap,
           const Offset c0 = stripe.col_begin(e.index);
           const Offset c1 = stripe.col_end(e.index);
           ++st.build_pos;
-          --burst;
+          --build_left;
           if (c0 == c1) continue;  // empty column in this stripe
           m.mem_read(pe, elems_base + c0 * kOpElemBytes, kOpElemBytes);
           st.heap.push_back({stripe.elems[c0].row, c0, c1, e.value});
@@ -237,10 +243,9 @@ OpResult run_outer_product(Machine& m, AMap& amap,
           continue;  // keep building next turn; merging starts afterwards
         }
 
-        // Merge phase burst: complete up to kOpInterleavePops row-groups.
+        // Merge phase burst: complete up to `burst` row-groups.
         auto& heap = st.heap;
-        for (std::uint32_t pops = 0;
-             pops < kOpInterleavePops && !heap.empty(); ++pops) {
+        for (std::uint32_t pops = 0; pops < burst && !heap.empty(); ++pops) {
           const Index row = heap[0].row;
           Value acc = sr.reduce_identity();
           Value xdst = 0;
@@ -277,6 +282,9 @@ OpResult run_outer_product(Machine& m, AMap& amap,
     }
 
     // ---- LCP: combine same-row partials across PEs, finalize once ----
+    // Rows collect locally and land in tile_rows once: neighbouring tiles'
+    // vector headers share cache lines.
+    std::vector<sparse::VectorEntry> rows;
     std::vector<std::size_t> cursor(P, 0);
     while (true) {
       Index row = A.rows();
@@ -297,8 +305,9 @@ OpResult run_outer_product(Machine& m, AMap& amap,
       }
       const Value xdst =
           (S::kUsesDst && x_dst_old != nullptr) ? (*x_dst_old)[row] : Value{0};
-      tile_rows[tile].push_back({row, sr.finalize(acc, xdst)});
+      rows.push_back({row, sr.finalize(acc, xdst)});
     }
+    tile_rows[tile] = std::move(rows);
     m.tile_barrier(tile);
   });
 

@@ -17,6 +17,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <string_view>
 
 #include "sim/config.h"
@@ -80,6 +81,25 @@ class HostMachine {
     } else {
       for (std::uint32_t t = 0; t < cfg_->num_tiles; ++t) fn(t);
     }
+  }
+
+  /// fn(tile, step) for every tile and step in [0, steps), tile-major: one
+  /// task per tile, its steps ascending inside the task, so a multi-step
+  /// kernel pays one executor dispatch instead of one per step. Legal
+  /// because a tile's steps write only that tile's slots, in step order
+  /// under either machine (sim::Machine runs the same calls step-major).
+  template <class Fn>
+  void for_tile_steps(std::uint32_t steps, Fn&& fn) {
+    for_tiles([&](std::uint32_t tile) {
+      for (std::uint32_t step = 0; step < steps; ++step) fn(tile, step);
+    });
+  }
+
+  /// Host PEs run to completion: the round-robin bursts only shape the
+  /// simulated caches' view of a tile's concurrent working set.
+  [[nodiscard]] static constexpr std::uint32_t pe_burst(
+      std::uint32_t /*modeled*/) {
+    return std::numeric_limits<std::uint32_t>::max();
   }
 
  private:

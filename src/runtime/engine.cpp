@@ -1,6 +1,7 @@
 #include "runtime/engine.h"
 
 #include <algorithm>
+#include <string>
 
 #include "common/error.h"
 #include "common/threads.h"
@@ -100,6 +101,24 @@ const sparse::SparseVector& Engine::stage_sparse(
   staged_sparse_.clear();
   for (const auto& e : sv.entries()) staged_sparse_.push_back(e.index, e.value);
   return staged_sparse_;
+}
+
+void Engine::check_frontier(const Frontier& f) const {
+  if (f.dense) {
+    if (f.df.dimension() != dimension() ||
+        f.df.active.size() != f.df.values.values().size()) {
+      throw Error("spmv: dense frontier has " +
+                  std::to_string(f.df.dimension()) + " values and " +
+                  std::to_string(f.df.active.size()) +
+                  " activity flags; the engine's dimension is " +
+                  std::to_string(dimension()));
+    }
+  } else if (f.sv.dimension() != dimension()) {
+    throw Error("spmv: sparse frontier of dimension " +
+                std::to_string(f.sv.dimension()) +
+                " does not match the engine's dimension " +
+                std::to_string(dimension()));
+  }
 }
 
 Decision Engine::resolve_decision(std::size_t frontier_nnz) const {

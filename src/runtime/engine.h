@@ -283,6 +283,11 @@ class Engine {
 
   Decision resolve_decision(std::size_t frontier_nnz) const;
 
+  /// Throws Error unless `f` has this engine's dimension (and, if dense,
+  /// one activity flag per value). Runs before anything is staged or
+  /// logged: the staging buffers have the engine's fixed size.
+  void check_frontier(const Frontier& f) const;
+
   /// Publishes the finished iteration into the attached trace/telemetry
   /// sinks (no-op without sinks). Lives in engine.cpp so the template
   /// above stays lean.
@@ -333,6 +338,7 @@ class Engine {
 template <kernels::Semiring S>
 Engine::Output Engine::spmv(const Frontier& f, const S& sr,
                             const sparse::DenseVector* dst_old) {
+  check_frontier(f);
   if (opts_.exec_mode == native::ExecMode::kNative) {
     return spmv_native(f, sr, dst_old);
   }

@@ -132,6 +132,25 @@ class Machine {
   /// calling thread, under the "sim.exec" profiler phase.
   void for_tiles(const std::function<void(std::uint32_t)>& fn);
 
+  /// fn(tile, step) for every step in [0, steps) and tile, step-major: one
+  /// for_tiles() pass per step, tiles ascending within it — the order the
+  /// modeled caches must see. native::HostMachine runs the same calls
+  /// tile-major (DESIGN.md §14).
+  template <class Fn>
+  void for_tile_steps(std::uint32_t steps, Fn&& fn) {
+    for (std::uint32_t step = 0; step < steps; ++step) {
+      for_tiles([&](std::uint32_t tile) { fn(tile, step); });
+    }
+  }
+
+  /// Work units (elements, row-groups) a PE issues before yielding to the
+  /// next PE of its tile. The simulator keeps the kernel's modeled burst so
+  /// shared caches see the tile's concurrent working set.
+  [[nodiscard]] static constexpr std::uint32_t pe_burst(
+      std::uint32_t modeled) {
+    return modeled;
+  }
+
   // ---- reconfiguration (paper §III-D: LCP-triggered, <= 10 cycles) ----
   /// Global barrier, write-back flush of all dirty cache lines, the <= 10
   /// cycle mode switch, then the hierarchy is rebuilt cold in `next` mode.

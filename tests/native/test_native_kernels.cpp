@@ -2,10 +2,16 @@
 // *bitwise* with the cycle-accurate simulator and with the scalar
 // reference, including the edge cases the accumulator merge is most
 // likely to get wrong — tropical (min-plus) semirings, empty frontiers,
-// all-zero rows, and power-law matrices with duplicate column indices.
+// all-zero rows, power-law matrices with duplicate column indices, and
+// several vblocks per tile — plus the schedule contract of the two
+// machine types (for_tile_steps, pe_burst).
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../kernels/reference.h"
@@ -17,6 +23,7 @@
 #include "kernels/partition.h"
 #include "kernels/region_plan.h"
 #include "kernels/semiring.h"
+#include "native/host_machine.h"
 #include "native/spmv.h"
 #include "sim/machine.h"
 #include "sim/parallel.h"
@@ -25,6 +32,7 @@
 namespace cosparse {
 namespace {
 
+using kernels::CfSemiring;
 using kernels::DenseFrontier;
 using kernels::PlainSpmv;
 using kernels::SsspSemiring;
@@ -70,8 +78,42 @@ kernels::OpResult sim_push(const kernels::OpStripedMatrix& striped,
   return kernels::run_outer_product(machine, amap, striped, x, nullptr, sr);
 }
 
-/// Runs pull through sim and native (serial + parallel) and checks all
-/// legs produce bitwise-identical results, returning the digest.
+/// A pull through the shared kernel body on the host machine. Unlike
+/// native::pull_spmv it never dispatches to the AVX2 specialization, so the
+/// host schedule of the template is covered for every semiring.
+template <kernels::Semiring S>
+kernels::IpResult host_pull(const kernels::IpPartitionedMatrix& part,
+                            const DenseFrontier& x, sim::HwConfig hw,
+                            sim::ParallelExecutor* exec, const S& sr) {
+  native::HostMachine machine(kSys, hw, exec);
+  native::NullAddressMap amap;
+  return kernels::run_inner_product(machine, amap, part, x, sr);
+}
+
+/// Runs pull through sim and native — the dispatched entry point and the
+/// shared kernel body, each serially and on 1, 3 and 8 threads (3 splits
+/// the 4 tiles unevenly) — and checks every leg is bitwise identical to
+/// sim, returning the digest.
+template <kernels::Semiring S>
+std::string check_pull_part(const kernels::IpPartitionedMatrix& part,
+                            const DenseFrontier& x, sim::HwConfig hw,
+                            const S& sr) {
+  const std::string sim = digest_ip(sim_pull(part, x, hw, sr));
+  EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, nullptr, part, x, sr)))
+      << "native serial pull diverged from sim";
+  EXPECT_EQ(sim, digest_ip(host_pull(part, x, hw, nullptr, sr)))
+      << "serial host kernel diverged from sim";
+  for (const std::uint32_t threads : {1U, 3U, 8U}) {
+    sim::ParallelExecutor exec(threads);
+    EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, &exec, part, x, sr)))
+        << "native " << threads << "-thread pull diverged from sim";
+    EXPECT_EQ(sim, digest_ip(host_pull(part, x, hw, &exec, sr)))
+        << threads << "-thread host kernel diverged from sim";
+  }
+  return sim;
+}
+
+/// check_pull_part over the layout the engine uses for `hw`.
 template <kernels::Semiring S>
 std::string check_pull(const sparse::Coo& m, const DenseFrontier& x,
                        sim::HwConfig hw, const S& sr) {
@@ -79,13 +121,7 @@ std::string check_pull(const sparse::Coo& m, const DenseFrontier& x,
       hw == sim::HwConfig::kSCS ? kernels::default_vblock_cols(kSys) : 0;
   const auto part =
       kernels::IpPartitionedMatrix::build(m, kSys.num_pes(), vb, true);
-  const std::string sim = digest_ip(sim_pull(part, x, hw, sr));
-  EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, nullptr, part, x, sr)))
-      << "native serial pull diverged from sim";
-  sim::ParallelExecutor exec(8);
-  EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, &exec, part, x, sr)))
-      << "native 8-thread pull diverged from sim";
-  return sim;
+  return check_pull_part(part, x, hw, sr);
 }
 
 template <kernels::Semiring S>
@@ -110,6 +146,90 @@ TEST(NativeKernels, PullMatchesSimAllHwConfigs) {
       sparse::random_sparse_vector(300, 0.3, 6), PlainSpmv{}.vector_identity());
   for (const auto hw : {sim::HwConfig::kSC, sim::HwConfig::kSCS}) {
     check_pull(m, x, hw, PlainSpmv{});
+  }
+}
+
+TEST(NativeKernels, PullMatchesSimAcrossVblocks) {
+  // Every vblock is one step of for_tile_steps: the simulator runs all
+  // tiles' vblock 0, then vblock 1, ...; the host runs a tile's vblocks in
+  // order inside one task. Rows collect one partial sum per vblock, so a
+  // wrong step order changes PlainSpmv's rounding. CfSemiring adds the
+  // kUsesDst finalize pass.
+  constexpr Index kN = 600;
+  const auto m =
+      sparse::power_law(kN, kN, 9000, 2.1, 31, sparse::ValueDist::kUniform01);
+  const auto part = kernels::IpPartitionedMatrix::build(m, kSys.num_pes(),
+                                                        /*vblock_cols=*/64,
+                                                        true);
+  ASSERT_EQ(part.num_vblocks(), 10U);
+  const auto frontier = [&](Value identity, std::uint64_t seed) {
+    return DenseFrontier::from_sparse(
+        sparse::random_sparse_vector(kN, 0.4, seed), identity);
+  };
+  check_pull_part(part, frontier(PlainSpmv{}.vector_identity(), 32),
+                  sim::HwConfig::kSCS, PlainSpmv{});
+  check_pull_part(part, frontier(SsspSemiring{}.vector_identity(), 33),
+                  sim::HwConfig::kSCS, SsspSemiring{});
+  check_pull_part(part, frontier(CfSemiring{}.vector_identity(), 34),
+                  sim::HwConfig::kSCS, CfSemiring{});
+
+  // Wider than one default (SPM-sized) vblock, all-active frontier.
+  constexpr Index kWide = 3000;
+  const auto wide = sparse::uniform_random(kWide, kWide, 24000, 35,
+                                           sparse::ValueDist::kUniform01);
+  const auto wide_part = kernels::IpPartitionedMatrix::build(
+      wide, kSys.num_pes(), kernels::default_vblock_cols(kSys), true);
+  ASSERT_GE(wide_part.num_vblocks(), 3U);
+  check_pull_part(wide_part,
+                  DenseFrontier::from_dense(sparse::DenseVector(kWide, 0.5)),
+                  sim::HwConfig::kSCS, PlainSpmv{});
+}
+
+TEST(TileSchedule, SimulatorRunsStepMajorWithTilesAscending) {
+  sim::Machine machine(kSys, sim::HwConfig::kSCS);
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> visits;
+  machine.for_tile_steps(3, [&](std::uint32_t tile, std::uint32_t step) {
+    visits.emplace_back(tile, step);
+  });
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> want;
+  for (std::uint32_t step = 0; step < 3; ++step) {
+    for (std::uint32_t tile = 0; tile < kSys.num_tiles; ++tile) {
+      want.emplace_back(tile, step);
+    }
+  }
+  EXPECT_EQ(visits, want);
+}
+
+TEST(TileSchedule, HostVisitsEveryTileStepOnceStepsAscending) {
+  constexpr std::uint32_t kSteps = 5;
+  const std::vector<std::uint32_t> ascending = {0, 1, 2, 3, 4};
+  for (const std::uint32_t threads : {0U, 1U, 3U, 8U}) {
+    std::optional<sim::ParallelExecutor> exec;
+    if (threads > 0) exec.emplace(threads);
+    native::HostMachine machine(kSys, sim::HwConfig::kSCS,
+                                exec ? &*exec : nullptr);
+    // Each tile appends only to its own slot, as kernel tile bodies do.
+    std::vector<std::vector<std::uint32_t>> seen(kSys.num_tiles);
+    machine.for_tile_steps(kSteps, [&](std::uint32_t tile,
+                                       std::uint32_t step) {
+      seen[tile].push_back(step);
+    });
+    for (std::uint32_t tile = 0; tile < kSys.num_tiles; ++tile) {
+      EXPECT_EQ(seen[tile], ascending)
+          << "tile " << tile << " at " << threads << " threads";
+    }
+  }
+}
+
+TEST(TileSchedule, PeBurstIsModeledInSimAndUnboundedOnHost) {
+  EXPECT_EQ(sim::Machine::pe_burst(kernels::kIpInterleaveElems),
+            kernels::kIpInterleaveElems);
+  EXPECT_EQ(sim::Machine::pe_burst(kernels::kOpInterleavePops),
+            kernels::kOpInterleavePops);
+  for (const std::uint32_t modeled :
+       {kernels::kIpInterleaveElems, kernels::kOpInterleavePops}) {
+    EXPECT_EQ(native::HostMachine::pe_burst(modeled),
+              std::numeric_limits<std::uint32_t>::max());
   }
 }
 

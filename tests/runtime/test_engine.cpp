@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/error.h"
 #include "kernels/semiring.h"
 #include "sparse/generate.h"
 
@@ -169,6 +175,71 @@ TEST(Engine, EmptyFrontierProducesEmptyOutput) {
   const auto out =
       eng.spmv(Engine::Frontier::from_sparse(SparseVector(100)), PlainSpmv{});
   EXPECT_EQ(out.num_touched(), 0u);
+}
+
+/// Every touched (row, value) pair and the cycle count, as one string.
+std::string outcome(const Engine::Output& out, const Engine& eng) {
+  std::ostringstream os;
+  os << std::hexfloat;
+  out.for_each_touched([&](Index r, Value v) { os << r << ':' << v << ' '; });
+  os << "cycles=" << eng.total_cycles();
+  return os.str();
+}
+
+TEST(Engine, MismatchedFrontierThrowsAndLeavesEngineUntouched) {
+  // A frontier of another dimension, or a dense one whose activity flags
+  // do not match its values, would be staged out of bounds. spmv must
+  // reject it before staging or logging anything: afterwards the engine
+  // (its staged buffers' simulated addresses included) must behave like a
+  // fresh engine running only the valid calls.
+  constexpr Index kN = 100;
+  const Coo a = test_matrix(kN, 800);
+  const auto valid_sparse = Engine::Frontier::from_sparse(
+      sparse::random_sparse_vector(kN, 0.05, 41));
+  const auto valid_dense = Engine::Frontier::from_dense(
+      DenseFrontier::from_sparse(sparse::random_sparse_vector(kN, 0.6, 42),
+                                 0.0));
+
+  std::vector<std::pair<std::string, Engine::Frontier>> bad;
+  {
+    // Dense enough to be decided IP against the engine's 100 vertices.
+    SparseVector wide(100000);
+    for (Index i = 0; i < 90; ++i) wide.push_back(i * 1000 + 7, 1.0);
+    bad.emplace_back("sparse, too wide", Engine::Frontier::from_sparse(wide));
+    bad.emplace_back("sparse, too narrow", Engine::Frontier::from_sparse(
+                                               SparseVector(kN - 1)));
+    DenseFrontier big(100000, 0.0);
+    for (Index i = 0; i < 90; ++i) big.set(i * 1000 + 7, 1.0);
+    bad.emplace_back("dense, too wide", Engine::Frontier::from_dense(big));
+    DenseFrontier short_flags(kN, 0.0);
+    for (Index i = 0; i < kN; i += 2) short_flags.set(i, 1.0);
+    short_flags.active.resize(kN / 2);
+    bad.emplace_back("dense, short activity flags",
+                     Engine::Frontier::from_dense(short_flags));
+  }
+
+  for (const auto mode : {native::ExecMode::kSim, native::ExecMode::kNative}) {
+    EngineOptions opts;
+    opts.exec_mode = mode;
+    opts.sim_threads = 0;
+    Engine fresh(a, sim::SystemConfig::transmuter(2, 4), opts);
+    const std::string want_first =
+        outcome(fresh.spmv(valid_sparse, PlainSpmv{}), fresh);
+    const std::string want_second =
+        outcome(fresh.spmv(valid_dense, PlainSpmv{}), fresh);
+
+    for (const auto& [what, frontier] : bad) {
+      SCOPED_TRACE(what + (mode == native::ExecMode::kSim ? " (sim)"
+                                                          : " (native)"));
+      Engine eng(a, sim::SystemConfig::transmuter(2, 4), opts);
+      EXPECT_EQ(outcome(eng.spmv(valid_sparse, PlainSpmv{}), eng),
+                want_first);
+      EXPECT_THROW(eng.spmv(frontier, PlainSpmv{}), Error);
+      EXPECT_EQ(eng.iterations().size(), 1U);
+      EXPECT_EQ(outcome(eng.spmv(valid_dense, PlainSpmv{}), eng),
+                want_second);
+    }
+  }
 }
 
 }  // namespace
