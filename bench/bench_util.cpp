@@ -21,6 +21,12 @@
 
 namespace cosparse::bench {
 
+namespace {
+/// The process-wide telemetry registry, or nullptr unless
+/// --telemetry-interval / COSPARSE_TELEMETRY armed it (defined below).
+obs::Telemetry* telemetry();
+}  // namespace
+
 Index vblock_cols_for(const sim::SystemConfig& cfg) {
   const double spm = static_cast<double>(cfg.scs_spm_bytes_per_tile());
   const auto cols = static_cast<Index>(spm / 8.0);
@@ -141,6 +147,8 @@ ObsState& obs_state() {
   return s;
 }
 
+obs::Telemetry* telemetry() { return obs_state().telemetry.telemetry(); }
+
 }  // namespace
 
 void emit(const std::string& name, const Table& table) {
@@ -223,8 +231,8 @@ void init_observability(const CliParser& cli) {
     mode = cli.str("exec-mode");
   }
   st.exec_mode = native::resolve_exec_mode(mode);
-  // Honest-machine stamp: committed BENCH JSONs must say what hardware and
-  // execution mode produced them. (Machine-dependent by design — never
+  // Honest-machine stamp: a run report must say what hardware and
+  // execution mode produced it. (Machine-dependent by design — never
   // byte-compare a section that names the CPU.)
   Json host = Json::object();
   host["exec_mode"] = std::string(native::to_string(st.exec_mode));
@@ -242,16 +250,12 @@ sim::MemProfiler* profiler() { return obs_state().profiler.get(); }
 
 sim::ParallelExecutor* executor() { return obs_state().executor.get(); }
 
-obs::Telemetry* telemetry() { return obs_state().telemetry.telemetry(); }
-
-native::ExecMode exec_mode() { return obs_state().exec_mode; }
-
 runtime::EngineOptions engine_options() {
   runtime::EngineOptions o;
   o.trace = trace();
   o.executor = executor();
   o.telemetry = telemetry();
-  o.exec_mode = exec_mode();
+  o.exec_mode = obs_state().exec_mode;
   // A null executor must stay null: engine_options() callers already got
   // the process-wide resolution above, so suppress the engine's own
   // environment lookup.

@@ -106,21 +106,10 @@ void init_observability(const CliParser& cli);
 /// section.
 [[nodiscard]] sim::MemProfiler* profiler();
 
-/// The process-wide execution mode, resolved by init_observability() from
-/// --exec-mode (COSPARSE_EXEC_MODE is the fallback; default sim).
-/// engine_options() forwards it; harnesses timing raw kernels branch on it
-/// themselves.
-[[nodiscard]] native::ExecMode exec_mode();
-
-/// The process-wide telemetry registry, or nullptr unless
-/// --telemetry-interval / COSPARSE_TELEMETRY armed it. time_ip/time_op
-/// and engine_options() attach it automatically; the cadence, exporter
-/// outputs and SLO watchdog are wired by init_observability() through an
-/// obs::TelemetrySession.
-[[nodiscard]] obs::Telemetry* telemetry();
-
-/// Default EngineOptions with the process-wide trace/telemetry sinks
-/// already attached; harnesses adjust the remaining fields as usual.
+/// Default EngineOptions with the process-wide trace sink, telemetry
+/// registry (also attached by time_ip/time_op), executor and execution
+/// mode (--exec-mode, COSPARSE_EXEC_MODE fallback, default sim) already
+/// attached; harnesses adjust the remaining fields as usual.
 [[nodiscard]] runtime::EngineOptions engine_options();
 
 /// Sets a top-level section of the run report (e.g. "config", "dataset").

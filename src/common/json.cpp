@@ -247,9 +247,18 @@ class Parser {
 
   Json parse_value() {
     skip_ws();
-    switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+    const char c = peek();
+    if (c == '{' || c == '[') {
+      if (depth_ == Json::kMaxDepth) {
+        fail("nesting deeper than " + std::to_string(Json::kMaxDepth) +
+             " levels");
+      }
+      ++depth_;
+      Json j = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return j;
+    }
+    switch (c) {
       case '"': return Json(parse_string());
       case 't':
         if (consume_literal("true")) return Json(true);
@@ -390,6 +399,7 @@ class Parser {
 
   std::string_view s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current value
 };
 
 }  // namespace

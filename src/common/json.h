@@ -83,7 +83,12 @@ class Json {
   // ---- text ----
   /// Compact when indent < 0, pretty-printed otherwise.
   [[nodiscard]] std::string dump(int indent = -1) const;
-  /// Throws cosparse::Error on malformed input or trailing garbage.
+  /// Deepest array/object nesting parse() accepts. The parser recurses
+  /// once per level, so the bound keeps hostile input off the stack.
+  static constexpr int kMaxDepth = 256;
+
+  /// Throws cosparse::Error on malformed input, trailing garbage, or
+  /// nesting deeper than kMaxDepth.
   static Json parse(std::string_view text);
 
  private:

@@ -4,8 +4,9 @@
 // config, dataset, per-iteration records, final stats (global and
 // per-tile), energy, metrics and any result tables — written next to the
 // existing CSV mirrors. The schema is documented in DESIGN.md §8
-// ("Observability") and checked by tests/obs/report_schema.h; bump
-// kReportSchema when making an incompatible change.
+// ("Observability") and checked by `cosparse-lint report`
+// (verify::lint_run_report); bump kReportSchema when making an
+// incompatible change.
 #pragma once
 
 #include <string>

@@ -4,60 +4,6 @@
 
 namespace cosparse::sim {
 
-AnalyticPrediction extrapolate(const SystemConfig& measured_cfg,
-                               const Stats& stats, Cycles measured_cycles,
-                               const SystemConfig& target_cfg) {
-  AnalyticPrediction p;
-
-  // --- serial component: barriers + reconfiguration drains ---
-  // Charged once per event regardless of system size; the flush drain is
-  // bandwidth-limited, so it carries over via the DRAM bound instead.
-  const double serial_per_barrier = 20.0;  // sync fan-in/fan-out
-  p.serial_cycles =
-      static_cast<double>(stats.barriers) * serial_per_barrier +
-      static_cast<double>(stats.reconfigurations) *
-          target_cfg.reconfig_cycles;
-
-  // --- PE bound ---
-  // Total PE work on the measured system, redistributed over the target's
-  // PEs. Shared-mode arbitration is the only latency component that
-  // changes shape with the topology: re-scale it by the sharers/banks
-  // ratio (banks == PEs per tile in every configuration, so the per-access
-  // penalty is ~conflict_factor x (P-1)/P, nearly constant — kept for
-  // generality with non-default bank counts).
-  const double measured_arb =
-      measured_cfg.xbar_conflict_factor *
-      static_cast<double>(measured_cfg.pes_per_tile - 1) /
-      static_cast<double>(measured_cfg.l1_banks_per_tile());
-  const double target_arb = target_cfg.xbar_conflict_factor *
-                            static_cast<double>(target_cfg.pes_per_tile - 1) /
-                            static_cast<double>(target_cfg.l1_banks_per_tile());
-  const double arb_delta =
-      (target_arb - measured_arb) * static_cast<double>(stats.l1_accesses());
-  const double total_pe_work =
-      stats.pe_compute_cycles + stats.pe_mem_stall_cycles + arb_delta;
-  p.pe_bound = total_pe_work / static_cast<double>(target_cfg.num_pes());
-
-  // --- DRAM bound ---
-  p.dram_bound = static_cast<double>(stats.dram_bytes()) /
-                 target_cfg.dram_peak_bytes_per_cycle();
-
-  // --- LCP bound ---
-  // Merged elements distribute across tiles; each tile's LCP serializes
-  // its share at the target's per-element cost.
-  p.lcp_bound = static_cast<double>(stats.lcp_elements) /
-                static_cast<double>(target_cfg.num_tiles) *
-                target_cfg.lcp_cycles_per_element();
-
-  const double bound =
-      std::max({p.pe_bound, p.dram_bound, p.lcp_bound}) + p.serial_cycles;
-  // Never predict below what pure bandwidth already cost the measured run
-  // (the roofline is system-size independent for the same trace).
-  p.cycles = static_cast<Cycles>(std::max(bound, 1.0));
-  (void)measured_cycles;
-  return p;
-}
-
 AnalyticPrediction estimate_spmv(const SystemConfig& cfg, bool inner_product,
                                  HwConfig hw, const SpmvShape& shape) {
   AnalyticPrediction p;

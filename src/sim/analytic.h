@@ -1,32 +1,26 @@
-// Trace-based analytic model for large systems.
+// First-principles cycle estimate for one SpMV invocation.
 //
-// The paper's methodology note (§IV-A): "For systems larger than 8x16, the
-// simulation resources required become prohibitive and a trace-based
-// simulation model is used." This module is our rendering of that second
-// model: take the event trace (Stats) and elapsed cycles measured by the
-// execution-driven simulator on a *reference* system, and extrapolate the
-// execution time on a *target* system from first-principles bounds:
+// The decision audit (runtime/audit.h) attaches a counterfactual cost to
+// every configuration the decision tree considered. This module supplies
+// it: from the invocation's shape alone (dimension, matrix nnz, frontier
+// nnz), before anything runs, it bounds the cycles of one SpMV under a
+// given dataflow and memory configuration:
 //
-//   pe bound   — total PE work (compute + memory stalls) spread over the
-//                target's PEs, with the shared-mode arbitration term
-//                re-scaled to the target's sharers/banks ratio;
-//   dram bound — bytes moved / peak bandwidth (topology-independent);
-//   lcp bound  — merged elements / target tiles x the target's per-element
-//                LCP cost (outer-product runs only);
-//   serial     — barriers and reconfigurations do not parallelize.
+//   pe bound   — PE work (per-element compute + vector/heap access, with
+//                the shared-mode arbitration term) spread over the PEs;
+//   dram bound — bytes moved / peak bandwidth;
+//   lcp bound  — merged elements / tiles x the per-element LCP cost
+//                (outer product only);
+//   serial     — one DRAM round trip that does not parallelize.
 //
-// The prediction is max(bounds) + serial. It is a *conservative* (upper)
-// estimate: per-event stall costs are carried over from the measured
-// system, so it cannot see the target's larger caches cutting miss rates.
-// Accuracy is validated against the execution-driven simulator in
-// tests/sim/test_analytic.cpp — right order of magnitude and correct
-// scaling directions, which is what a roofline-style extrapolation can
-// promise, and is how the paper's >8x16 systems would be estimated if
-// execution-driven simulation were prohibitive.
+// The estimate is max(bounds) + serial. It is not calibrated against the
+// execution-driven simulator: only the relative ordering across
+// configurations is meaningful.
 #pragma once
 
+#include <cstdint>
+
 #include "sim/config.h"
-#include "sim/stats.h"
 
 namespace cosparse::sim {
 
@@ -37,12 +31,6 @@ struct AnalyticPrediction {
   double lcp_bound = 0.0;   ///< cycles if LCP serialization were the limit
   double serial_cycles = 0.0;
 };
-
-/// Extrapolates a run measured on `measured_cfg` to `target_cfg`.
-/// `measured_cycles` is what the execution-driven simulator reported.
-AnalyticPrediction extrapolate(const SystemConfig& measured_cfg,
-                               const Stats& stats, Cycles measured_cycles,
-                               const SystemConfig& target_cfg);
 
 /// Shape of one SpMV invocation, as known *before* running it — exactly
 /// the features the runtime decision tree sees. Element byte sizes are
@@ -56,14 +44,8 @@ struct SpmvShape {
   std::uint32_t value_bytes = 8;
 };
 
-/// First-principles cycle estimate for one SpMV invocation under a given
-/// dataflow (`inner_product`) and memory configuration — the same
-/// pe/dram/lcp bound structure as extrapolate(), but derived from the
-/// invocation's shape instead of a measured trace. Used by the decision
-/// audit trail (runtime/audit.h) to attach counterfactual costs to the
-/// configurations the decision tree rejected. Deterministic; not
-/// calibrated against the execution-driven simulator — only relative
-/// ordering across configurations is meaningful.
+/// Cycle estimate for one SpMV invocation of `shape` under a given
+/// dataflow (`inner_product`) and memory configuration. Deterministic.
 AnalyticPrediction estimate_spmv(const SystemConfig& cfg, bool inner_product,
                                  HwConfig hw, const SpmvShape& shape);
 

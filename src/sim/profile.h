@@ -11,8 +11,8 @@
 // "lcp.writeback"), and allocations with an empty label in "unlabeled"
 // (reported via a debug log line once, see satellite note in ISSUE/DESIGN).
 //
-// Invariant (asserted by tests/sim/test_profile.cpp and the check_report
-// validator): for every counter name shared with sim::Stats, the sum over
+// Invariant (asserted by tests/sim/test_profile.cpp and `cosparse-lint
+// report`): for every counter name shared with sim::Stats, the sum over
 // all regions and tiles equals the global Stats value bit-exactly — the
 // profiler observes the exact same increments Machine applies to Stats,
 // just keyed by region.

@@ -5,10 +5,9 @@
 // memory-profile regions sum to the profile totals (which in turn match
 // the shared global counters bit-exactly), iteration records carry the
 // mandatory fields, and every decision-audit record numbers sequentially
-// and marks exactly one chosen counterfactual. This is the same contract
-// the check_report CLI and the observability unit tests enforce — they
-// now both delegate here, so the CLI, the tests, and cosparse-lint cannot
-// drift apart.
+// and marks exactly one chosen counterfactual. `cosparse-lint report` and
+// the observability unit tests both call this, so they cannot drift
+// apart.
 #pragma once
 
 #include <vector>

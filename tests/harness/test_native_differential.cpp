@@ -155,12 +155,12 @@ INSTANTIATE_TEST_SUITE_P(
 /// boundary: kernel switches, frontier conversions and hardware
 /// reconfigurations must all happen at the same iterations with the same
 /// results in both modes.
-RunResult auto_run(native::ExecMode mode, std::uint32_t threads) {
+RunResult auto_run(const sim::SystemConfig& system, native::ExecMode mode,
+                   std::uint32_t threads) {
   EngineOptions opts;
   opts.sim_threads = threads;
   opts.exec_mode = mode;
-  Engine eng(matrix_for(Dataset::kPowerLaw),
-             sim::SystemConfig::transmuter(4, 4), opts);
+  Engine eng(matrix_for(Dataset::kPowerLaw), system, opts);
   Digest d;
   int iter = 0;
   for (const double density : {0.0008, 0.003, 0.03, 0.3, 0.9, 0.02, 0.001}) {
@@ -180,13 +180,17 @@ RunResult auto_run(native::ExecMode mode, std::uint32_t threads) {
 }
 
 TEST(NativeDifferentialAuto, ReconfiguringSequenceByteIdenticalToSerialSim) {
-  const RunResult sim = auto_run(native::ExecMode::kSim, 0);
-  for (const std::uint32_t threads : {1u, 8u}) {
-    const RunResult nat = auto_run(native::ExecMode::kNative, threads);
-    EXPECT_EQ(sim.output_digest, nat.output_digest)
-        << threads << " native thread(s)";
-    EXPECT_EQ(sim.functional, nat.functional)
-        << threads << " native thread(s)";
+  for (const auto& system : {sim::SystemConfig::transmuter(4, 4),
+                             sim::SystemConfig::transmuter(4, 8)}) {
+    const RunResult sim = auto_run(system, native::ExecMode::kSim, 0);
+    for (const std::uint32_t threads : {1u, 8u}) {
+      const RunResult nat =
+          auto_run(system, native::ExecMode::kNative, threads);
+      EXPECT_EQ(sim.output_digest, nat.output_digest)
+          << system.name() << ", " << threads << " native thread(s)";
+      EXPECT_EQ(sim.functional, nat.functional)
+          << system.name() << ", " << threads << " native thread(s)";
+    }
   }
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "common/error.h"
 
 namespace cosparse {
@@ -81,6 +83,44 @@ TEST(Json, ParseRejectsMalformedInput) {
   EXPECT_THROW(Json::parse("{\"a\":1} trailing"), Error);
   EXPECT_THROW(Json::parse("nul"), Error);
   EXPECT_THROW(Json::parse("\"unterminated"), Error);
+}
+
+TEST(Json, ParseRejectsDeeplyNestedArrays) {
+  // One frame per level: a million '[' would overflow the stack.
+  const std::string deep(1000000, '[');
+  EXPECT_THROW(Json::parse(deep), Error);
+  // The error names the offset of the first bracket past the limit.
+  const std::string over(Json::kMaxDepth + 1, '[');
+  try {
+    (void)Json::parse(over + std::string(Json::kMaxDepth + 1, ']'));
+    FAIL() << "expected a nesting error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "offset " + std::to_string(Json::kMaxDepth)),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Json, ParseRejectsDeeplyNestedObjects) {
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "{\"a\":";
+  EXPECT_THROW(Json::parse(deep), Error);
+}
+
+TEST(Json, ParsesNestingExactlyAtTheLimit) {
+  const auto depth = static_cast<std::size_t>(Json::kMaxDepth);
+  const Json arrays =
+      Json::parse(std::string(depth, '[') + std::string(depth, ']'));
+  const Json* inner = &arrays;
+  for (std::size_t i = 1; i < depth; ++i) inner = &inner->at(0);
+  EXPECT_TRUE(inner->is_array());
+  EXPECT_EQ(inner->size(), 0u);
+
+  std::string objects;
+  for (std::size_t i = 1; i < depth; ++i) objects += "{\"a\":";
+  objects += "{}" + std::string(depth - 1, '}');
+  EXPECT_TRUE(Json::parse(objects).is_object());
 }
 
 TEST(Json, FindReturnsNullptrOnMissingKey) {

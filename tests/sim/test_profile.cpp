@@ -173,7 +173,7 @@ TEST(Profile, ToJsonTotalsMirrorStatsNames) {
   const Json* totals = profile.find("totals");
   ASSERT_NE(totals, nullptr);
   // Every memory_profile total that shares a name with a Stats counter
-  // must equal it exactly (the check_report validator enforces the same).
+  // must equal it exactly (`cosparse-lint report` enforces the same).
   std::size_t shared = 0;
   for (const auto& [name, value] : totals->members()) {
     const Json* g = stats.find(name);

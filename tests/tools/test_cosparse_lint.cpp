@@ -240,6 +240,14 @@ TEST(CosparseLintCli, TruncatedInputIsReportedUnderItsSubcommand) {
       << text;
 }
 
+TEST(CosparseLintCli, DeeplyNestedReportIsUnparseableNotACrash) {
+  const auto deep = write_temp("deep.report.json", std::string(1000000, '['));
+  std::string text;
+  EXPECT_EQ(run_cli({"report", deep}, &text), 1);
+  EXPECT_NE(text.find("error[report.unparseable]"), std::string::npos)
+      << text;
+}
+
 TEST(CosparseLintCli, ReportOutWritesDocument) {
   const auto plan = write_temp("clean3.plan.json", kQuickstartPlan);
   const auto out_path = test::unique_temp_path("lint_report.json");

@@ -102,7 +102,9 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
       "\n"
       "{\"dataset\": \"twitter\", \"algo\"\n"
       "{\"dataset\": \"nope\", \"algo\": \"bfs\"}\n"
-      "{\"dataset\": \"vsp\", \"algo\": \"bfs\", \"sauce\": 1}\n"
+      "{\"dataset\": \"vsp\", \"algo\": \"bfs\", \"sauce\": 1}\n" +
+      // Nesting deep enough to overflow a recursive parser's stack.
+      std::string(1000000, '[') + "\n" +
       "{\"dataset\": \"vsp\", \"algo\": \"pagerank\"}\n");
   const std::string responses = test::unique_temp_path("cd_resp.jsonl");
   ASSERT_EQ(run({"--config", cfg, "--requests", requests,
@@ -113,7 +115,7 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
   std::vector<Json> rs;
   while (std::getline(in, line)) rs.push_back(Json::parse(line));
   // Line numbers are ids; the blank line 2 yields no response.
-  ASSERT_EQ(rs.size(), 5u);
+  ASSERT_EQ(rs.size(), 6u);
   EXPECT_EQ(rs[0].find("id")->as_int(), 1);
   EXPECT_EQ(rs[0].find("status")->as_string(), "ok");
   EXPECT_EQ(rs[1].find("id")->as_int(), 3);
@@ -123,8 +125,12 @@ TEST(Cosparsed, RequestStreamToleratesHostileLines) {
   EXPECT_EQ(rs[3].find("id")->as_int(), 5);  // unknown field
   EXPECT_EQ(rs[3].find("status")->as_string(), "error");
   EXPECT_EQ(rs[3].find("error_field")->as_string(), "sauce");
-  EXPECT_EQ(rs[4].find("id")->as_int(), 6);
-  EXPECT_EQ(rs[4].find("status")->as_string(), "ok");
+  EXPECT_EQ(rs[4].find("id")->as_int(), 6);  // nested too deep
+  EXPECT_EQ(rs[4].find("status")->as_string(), "error");
+  EXPECT_NE(rs[4].find("error")->as_string().find("nesting"),
+            std::string::npos);
+  EXPECT_EQ(rs[5].find("id")->as_int(), 7);
+  EXPECT_EQ(rs[5].find("status")->as_string(), "ok");
 }
 
 TEST(Cosparsed, TraceOutRoundTripsThroughRequests) {

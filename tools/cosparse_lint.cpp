@@ -27,8 +27,8 @@ constexpr const char* kUsage =
     "  report     lint cosparse.run_report/v1 documents\n"
     "  telemetry  lint exported telemetry files: *.prom/*.txt as\n"
     "             OpenMetrics text, anything else as snapshot JSONL\n"
-    "  serve      lint cosparse.serve_config/v1 documents (cosparsed /\n"
-    "             bench/serve_load trace configs)\n"
+    "  serve      lint cosparse.serve_config/v1 documents (cosparsed\n"
+    "             trace configs)\n"
     "  code       scan the source tree for signal-safety, FP-exactness,\n"
     "             determinism and phase-hygiene hazards; <file> is the\n"
     "             build's compile_commands.json\n"

@@ -11,9 +11,8 @@
 //
 //   report <report.json>... [options]
 //     runs the schema/invariant pass over cosparse.run_report/v1
-//     documents — the same checks the check_report smoke gate and the
-//     observability unit tests enforce (including the telemetry section
-//     when present).
+//     documents — the same checks the observability unit tests enforce
+//     (including the telemetry section when present).
 //
 //   telemetry <file>... [options]
 //     lints exported telemetry artifacts: *.prom / *.txt files as
@@ -23,8 +22,8 @@
 //
 //   serve <config.json>... [options]
 //     lints cosparse.serve_config/v1 documents — the trace configs
-//     cosparsed and bench/serve_load replay (schema, field types/ranges,
-//     dataset-registry cross-references, self-defeating knob combos).
+//     cosparsed replays (schema, field types/ranges, dataset-registry
+//     cross-references, self-defeating knob combos).
 //
 //   code [compile_commands.json] [--root <dir>] [options]
 //     token/declaration-level scan of the source tree (src/analyze/):
