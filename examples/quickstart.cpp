@@ -86,8 +86,8 @@ int main(int argc, char** argv) {
   opts.trace = &trace;
   // Continuous telemetry (off unless --telemetry-interval or
   // COSPARSE_TELEMETRY arms it): streaming histograms snapshotted to
-  // JSONL/OpenMetrics, watched by the SLO rules. Tail the JSONL live with
-  // cosparse-top.
+  // JSONL/OpenMetrics, watched by the SLO rules. Render the JSONL with
+  // `cosparse-prof summarize --telemetry`.
   obs::TelemetrySession telemetry;
   telemetry.init(cli, "quickstart");
   opts.telemetry = telemetry.telemetry();

@@ -32,7 +32,7 @@ class Digest {
   [[nodiscard]] std::string hex() const {
     static const char* kDigits = "0123456789abcdef";
     std::string s(16, '0');
-    for (int i = 0; i < 16; ++i) {
+    for (std::size_t i = 0; i < 16; ++i) {
       s[15 - i] = kDigits[(hash_ >> (4 * i)) & 0xfU];
     }
     return s;

@@ -10,7 +10,7 @@ std::vector<Index> split_rows(const std::vector<Offset>& row_nnz,
                               std::uint32_t parts, bool nnz_balanced) {
   COSPARSE_CHECK(parts >= 1);
   const auto num_rows = static_cast<Index>(row_nnz.size());
-  std::vector<Index> bounds(parts + 1, num_rows);
+  std::vector<Index> bounds(std::size_t{parts} + 1, num_rows);
   bounds[0] = 0;
   if (!nnz_balanced) {
     for (std::uint32_t p = 1; p < parts; ++p) {

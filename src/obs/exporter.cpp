@@ -80,7 +80,7 @@ void TelemetryExporter::write_one(const std::string& line,
                                   const std::string& prom) {
   if (jsonl_.is_open()) {
     jsonl_ << line << "\n";
-    jsonl_.flush();  // per-line so `cosparse-top --follow` sees it live
+    jsonl_.flush();  // per-line so `tail -f` sees it live
   }
   if (!opts_.prom_path.empty()) {
     // Write-temp + rename: scrapers never observe a torn exposition.

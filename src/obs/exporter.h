@@ -3,10 +3,10 @@
 // The exporter runs a background thread so snapshot publication never
 // blocks the simulation hot path: Telemetry hands it fully-rendered
 // strings, the worker appends each snapshot as one line of telemetry
-// JSONL (flushed per line so `cosparse-top --follow` and `tail -f` see
-// snapshots as they happen) and atomically rewrites the OpenMetrics file
-// (write-temp + rename) with the latest exposition so standard scrapers
-// always read a complete document ending in "# EOF". Tests run with
+// JSONL (flushed per line so `tail -f` sees snapshots as they happen)
+// and atomically rewrites the OpenMetrics file (write-temp + rename) with
+// the latest exposition so standard scrapers always read a complete
+// document ending in "# EOF". Tests run with
 // background = false, which writes synchronously on publish() — byte-for-
 // byte the same output, no thread.
 #pragma once

@@ -315,8 +315,8 @@ void print_flame_diff(std::ostream& os, const FlameDiffResult& result,
                       double max_regress) {
   Table table({"phase", "baseline", "candidate", "delta", "verdict"});
   for (const FlameDiffRow& row : result.rows) {
-    std::string delta = Table::fmt_pct(std::abs(row.delta));
-    delta.insert(0, row.delta < 0 ? "-" : "+");
+    std::string delta = row.delta < 0 ? "-" : "+";
+    delta += Table::fmt_pct(std::abs(row.delta));
     table.add_row({row.phase, Table::fmt_pct(row.share_a),
                    Table::fmt_pct(row.share_b), delta,
                    row.regressed ? "REGRESSED" : "ok"});

@@ -247,7 +247,10 @@ std::string symbolize_pc(void* pc) {
     std::string file = info.dli_fname;
     const std::size_t slash = file.find_last_of('/');
     if (slash != std::string::npos) file.erase(0, slash + 1);
-    return "[" + frame_token(std::move(file)) + "]";
+    std::string token = "[";
+    token += frame_token(std::move(file));
+    token += ']';
+    return token;
   }
   return "[unknown]";
 }

@@ -89,7 +89,6 @@ Json TelemetrySnapshot::to_json() const {
   Json h = Json::object();
   for (const auto& [name, s] : hist) h[name] = s.to_json();
   o["hist"] = std::move(h);
-  if (!extra.is_null()) o["extra"] = extra;
   return o;
 }
 
@@ -268,8 +267,7 @@ void Telemetry::set_header(const std::string& key, Json value) {
   header_[key] = std::move(value);
 }
 
-void Telemetry::tick(std::uint64_t iterations,
-                     const std::function<Json()>& extra) {
+void Telemetry::tick(std::uint64_t iterations) {
   last_iterations_ = iterations;
   if (!cfg_.enabled) return;
   const double t0 = now_ms_();
@@ -280,16 +278,16 @@ void Telemetry::tick(std::uint64_t iterations,
   if (cfg_.every_ms > 0.0 && t0 - last_snapshot_ms_ >= cfg_.every_ms) {
     due = true;
   }
-  if (due) take_snapshot(extra);
+  if (due) take_snapshot();
   histogram("telemetry.overhead_ms").observe(now_ms_() - t0);
 }
 
 void Telemetry::flush() {
   if (!cfg_.enabled) return;
-  take_snapshot(nullptr);
+  take_snapshot();
 }
 
-void Telemetry::take_snapshot(const std::function<Json()>& extra) {
+void Telemetry::take_snapshot() {
   TelemetrySnapshot snap;
   snap.seq = seq_++;
   snap.wall_ms = now_ms_();
@@ -300,7 +298,6 @@ void Telemetry::take_snapshot(const std::function<Json()>& extra) {
     if (h->count() == 0) continue;
     snap.hist.emplace_back(name, h->summary());
   }
-  if (extra) snap.extra = extra();
 
   std::vector<SloViolation> violations;
   if (watchdog_ != nullptr) violations = watchdog_->evaluate(snap);

@@ -10,8 +10,9 @@
 // percentile digests of every histogram plus a self-describing header
 // (tool, seed, sim-threads, interval) — is taken, checked by the
 // SloWatchdog, and published to the TelemetryExporter (obs/exporter.h) as
-// one JSONL line and an OpenMetrics exposition. `cosparse-top` tails the
-// JSONL stream live.
+// one JSONL line and an OpenMetrics exposition. `cosparse-prof summarize
+// --telemetry` renders the JSONL stream and `cosparse-lint telemetry`
+// validates it.
 //
 // Threading contract: histograms are observed and snapshots taken on the
 // producing thread only (the simulation is single-threaded outside tile
@@ -69,11 +70,10 @@ struct TelemetrySnapshot {
   /// Name-ordered percentile digests of every histogram.
   std::vector<std::pair<std::string, HistogramSummary>> hist;
   Json header = Json::object();  ///< tool/seed/sim_threads/interval, ...
-  Json extra;                    ///< producer-specific live state (tiles)
 
   [[nodiscard]] const HistogramSummary* find(const std::string& name) const;
-  /// One JSONL line body (schema, seq, wall_ms, iterations, header fields,
-  /// hist digests, extra). SLO violations are appended by Telemetry.
+  /// One JSONL line body (schema, seq, wall_ms, iterations, header, hist
+  /// digests). SLO violations are appended by Telemetry.
   [[nodiscard]] Json to_json() const;
 };
 
@@ -170,12 +170,9 @@ class Telemetry {
 
   /// Producer progress pulse: called once per unit of progress (engine
   /// iteration). Takes a snapshot when the configured cadence is due.
-  /// `extra` (optional) is invoked only when a snapshot actually fires,
-  /// to embed producer live state (per-tile busy cycles, ...) into it.
   /// Self-reports its own cost into the "telemetry.overhead_ms"
   /// histogram.
-  void tick(std::uint64_t iterations,
-            const std::function<Json()>& extra = nullptr);
+  void tick(std::uint64_t iterations);
 
   /// Forces a final snapshot (when enabled) regardless of cadence — call
   /// once at end of run so short runs still emit their distributions.
@@ -191,7 +188,7 @@ class Telemetry {
   [[nodiscard]] Json report_json() const;
 
  private:
-  void take_snapshot(const std::function<Json()>& extra);
+  void take_snapshot();
 
   TelemetryConfig cfg_;
   NowFn now_ms_;

@@ -146,11 +146,10 @@ Decision DecisionEngine::decide_impl(const SwConfig* forced, Index dimension,
     for (const auto& c : candidates) {
       shape.matrix_elem_bytes = c.sw == SwConfig::kIP ? kernels::kIpElemBytes
                                                       : kernels::kOpElemBytes;
-      const auto p =
-          sim::estimate_spmv(cfg_, c.sw == SwConfig::kIP, c.hw, shape);
-      rec.counterfactuals.push_back(
-          Counterfactual{c.sw, c.hw, p.cycles,
-                         c.sw == d.sw && c.hw == d.hw});
+      rec.counterfactuals.push_back(Counterfactual{
+          c.sw, c.hw,
+          sim::estimate_spmv(cfg_, c.sw == SwConfig::kIP, c.hw, shape),
+          c.sw == d.sw && c.hw == d.hw});
     }
     audit_->record(std::move(rec));
   }

@@ -57,8 +57,9 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
   machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
       opts_.exec_mode == native::ExecMode::kNative) {
-    // Stamp native streams so consumers (cosparse-top) can tell there is
-    // no tile/cycle data behind them; sim streams are left untouched.
+    // Stamp native streams so readers (cosparse-prof summarize echoes the
+    // header) can tell there is no cycle data behind them; sim streams are
+    // left untouched.
     telemetry_->set_header("exec_mode",
                            Json(std::string(to_string(opts_.exec_mode))));
   }
@@ -217,26 +218,7 @@ void Engine::record_iteration(const IterationRecord& rec, Cycles iter_begin,
       telemetry_->histogram("engine.convert_cycles")
           .observe(static_cast<double>(rec.convert_cycles));
     }
-    // Snapshot pulse. The extra sampler runs only when the cadence fires:
-    // per-tile busy cycles feed cosparse-top's tile bars. Native snapshots
-    // carry no tile_busy_cycles (there is no cycle model behind them);
-    // cosparse-top suppresses its tile panel for such streams.
-    telemetry_->tick(rec.index + 1, [this, is_native, &rec] {
-      Json ex = Json::object();
-      if (is_native) {
-        ex["exec_mode"] = std::string(native::to_string(opts_.exec_mode));
-        ex["hw"] = sim::to_string(rec.hw);
-        return ex;
-      }
-      Json tiles = Json::array();
-      for (const sim::Stats& t : machine_.tile_stats()) {
-        tiles.push_back(t.pe_compute_cycles + t.pe_mem_stall_cycles);
-      }
-      ex["tile_busy_cycles"] = std::move(tiles);
-      ex["load_imbalance"] = machine_.load_imbalance();
-      ex["hw"] = sim::to_string(machine_.hw());
-      return ex;
-    });
+    telemetry_->tick(rec.index + 1);
   }
   if (is_native) return;  // trace spans live in the simulated-cycle domain
   if (trace_ != nullptr && trace_->enabled()) {

@@ -24,14 +24,6 @@
 
 namespace cosparse::sim {
 
-struct AnalyticPrediction {
-  Cycles cycles = 0;        ///< max(bounds) + serial overhead
-  double pe_bound = 0.0;    ///< cycles if PE work were the only limit
-  double dram_bound = 0.0;  ///< cycles if bandwidth were the only limit
-  double lcp_bound = 0.0;   ///< cycles if LCP serialization were the limit
-  double serial_cycles = 0.0;
-};
-
 /// Shape of one SpMV invocation, as known *before* running it — exactly
 /// the features the runtime decision tree sees. Element byte sizes are
 /// parameters because the kernels own those constants (sim cannot depend
@@ -45,8 +37,9 @@ struct SpmvShape {
 };
 
 /// Cycle estimate for one SpMV invocation of `shape` under a given
-/// dataflow (`inner_product`) and memory configuration. Deterministic.
-AnalyticPrediction estimate_spmv(const SystemConfig& cfg, bool inner_product,
-                                 HwConfig hw, const SpmvShape& shape);
+/// dataflow (`inner_product`) and memory configuration: max(bounds) +
+/// serial, at least 1. Deterministic.
+[[nodiscard]] Cycles estimate_spmv(const SystemConfig& cfg, bool inner_product,
+                                   HwConfig hw, const SpmvShape& shape);
 
 }  // namespace cosparse::sim

@@ -60,7 +60,7 @@ TEST(Cli, MalformedIntegerThrows) {
   auto p = make_parser();
   const char* argv[] = {"prog", "--count", "abc"};
   ASSERT_TRUE(p.parse(3, argv));
-  EXPECT_THROW(p.integer("count"), Error);
+  EXPECT_THROW((void)p.integer("count"), Error);
 }
 
 TEST(Cli, PositionalArgumentsCollected) {

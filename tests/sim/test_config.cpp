@@ -49,7 +49,7 @@ TEST(HwConfig, NamesRoundTrip) {
     EXPECT_EQ(hw_config_from_string(to_string(c)), c);
   }
   EXPECT_EQ(hw_config_from_string("scs"), HwConfig::kSCS);  // case-insensitive
-  EXPECT_THROW(hw_config_from_string("XYZ"), Error);
+  EXPECT_THROW((void)hw_config_from_string("XYZ"), Error);
 }
 
 TEST(HwConfig, Predicates) {

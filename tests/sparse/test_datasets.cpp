@@ -54,9 +54,9 @@ TEST(Datasets, TableThreeSpecsPresent) {
 }
 
 TEST(Datasets, UnknownNameThrows) {
-  EXPECT_THROW(DatasetRegistry::spec("facebook"), Error);
+  EXPECT_THROW((void)DatasetRegistry::spec("facebook"), Error);
   DatasetRegistry reg;
-  EXPECT_THROW(reg.load("facebook"), Error);
+  EXPECT_THROW((void)reg.load("facebook"), Error);
 }
 
 TEST(Datasets, ScaledLoadMatchesSpecProportions) {

@@ -295,5 +295,60 @@ TEST(Summarize, PrintsRegionAndDecisionTables) {
   EXPECT_NE(text.find("IP/SC"), std::string::npos);
 }
 
+TEST(Summarize, PrintsPerTileBusyCyclesWithLoadImbalance) {
+  Json doc = report_with(1000, 100, 50, 4096, 2048);
+  for (const int compute : {300, 150}) {  // busy 400 (busiest) and 200
+    Json t = Json::object();
+    t["pe_compute_cycles"] = compute;
+    t["pe_mem_stall_cycles"] = compute / 3;
+    doc["tile_stats"].push_back(std::move(t));
+  }
+  doc["derived"]["load_imbalance"] = 400.0 / 300.0;
+
+  std::ostringstream os;
+  summarize_report(os, doc, "crafted");
+  const std::string text = os.str();
+  EXPECT_NE(text.find("tile load (load_imbalance=1.3333):"),
+            std::string::npos)
+      << text;
+  EXPECT_NE(text.find("| 0    | 400         | 100.0%"), std::string::npos);
+  EXPECT_NE(text.find("| 1    | 200         | 50.0%"), std::string::npos);
+}
+
+TEST(Summarize, NativeReportPrintsNoTileTable) {
+  Json doc = Json::object();
+  doc["tool"] = "crafted";
+  doc["config"]["engine"]["exec_mode"] = "native";
+  std::ostringstream os;
+  summarize_report(os, doc, "native");
+  EXPECT_NE(os.str().find("(native mode: no cycle model)"),
+            std::string::npos);
+  EXPECT_EQ(os.str().find("tile load"), std::string::npos);
+}
+
+TEST(Summarize, PrintsCpuProfileSamplesAndWarnsOnDrops) {
+  Json doc = report_with(1000, 100, 50, 4096, 2048);
+  const auto summary = [&](std::int64_t kept, std::int64_t dropped) {
+    doc["cpu_profile"]["samples"] = kept;
+    doc["cpu_profile"]["dropped_samples"] = dropped;
+    doc["cpu_profile"]["threads"] = 1;
+    std::ostringstream os;
+    summarize_report(os, doc, "crafted");
+    return os.str();
+  };
+  const std::string clean = summary(244, 0);
+  EXPECT_NE(clean.find("cpu profile: samples=244 dropped_samples=0 "
+                       "threads=1"),
+            std::string::npos)
+      << clean;
+  EXPECT_EQ(clean.find("warning:"), std::string::npos);
+  // 74 of 156 samples dropped: a native run at 4 host threads.
+  EXPECT_NE(summary(82, 74).find("warning: 47.4% of CPU-profile samples "
+                                 "were dropped"),
+            std::string::npos);
+  // Exactly 5 % is at the limit, not over it.
+  EXPECT_EQ(summary(95, 5).find("warning:"), std::string::npos);
+}
+
 }  // namespace
 }  // namespace cosparse::tools

@@ -11,7 +11,7 @@ TEST(Severity, RoundTripsThroughStrings) {
   for (Severity s : {Severity::kInfo, Severity::kWarning, Severity::kError}) {
     EXPECT_EQ(severity_from_string(to_string(s)), s);
   }
-  EXPECT_THROW(severity_from_string("fatal"), Error);
+  EXPECT_THROW((void)severity_from_string("fatal"), Error);
 }
 
 TEST(Finding, RoundTripsThroughJson) {

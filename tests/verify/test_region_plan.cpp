@@ -22,7 +22,7 @@ TEST(RegionScope, RoundTripsThroughStrings) {
        {RegionScope::kGlobal, RegionScope::kPerTile, RegionScope::kPerPe}) {
     EXPECT_EQ(region_scope_from_string(to_string(s)), s);
   }
-  EXPECT_THROW(region_scope_from_string("per_cluster"), Error);
+  EXPECT_THROW((void)region_scope_from_string("per_cluster"), Error);
 }
 
 TEST(RegionPlan, DefaultVblockColsMatchesEngineSizing) {

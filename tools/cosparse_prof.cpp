@@ -1,5 +1,6 @@
 #include "cosparse_prof.h"
 
+#include <algorithm>
 #include <cmath>
 #include <fstream>
 #include <iostream>
@@ -78,7 +79,10 @@ std::string fmt_count(double v) {
 
 std::string fmt_rel(double rel) {
   if (std::isinf(rel)) return "new";
-  return (rel >= 0 ? "+" : "") + Table::fmt(rel * 100.0, 2) + "%";
+  std::string out = rel >= 0 ? "+" : "";
+  out += Table::fmt(rel * 100.0, 2);
+  out += '%';
+  return out;
 }
 
 /// DRAM read+write bytes of a stats-shaped object (absent => not found).
@@ -255,6 +259,43 @@ void summarize_report(std::ostream& os, const Json& doc,
       }
       os << "\n";
     }
+  }
+  if (const Json* cpu = doc.find("cpu_profile");
+      cpu != nullptr && cpu->is_object()) {
+    bool f = false;
+    const double kept = number_at(*cpu, "samples", &f);
+    const double dropped = number_at(*cpu, "dropped_samples", &f);
+    os << "cpu profile: samples=" << fmt_count(kept)
+       << " dropped_samples=" << fmt_count(dropped)
+       << " threads=" << fmt_count(number_at(*cpu, "threads", &f)) << "\n";
+    if (20.0 * dropped > kept + dropped) {
+      os << "warning: " << Table::fmt_pct(dropped / (kept + dropped))
+         << " of CPU-profile samples were dropped (> 5%); phase shares "
+            "cover kept samples only\n";
+    }
+  }
+
+  // Per-tile busy cycles: the same compute + memory-stall sum that
+  // Machine::load_imbalance takes its max/mean over (paper Fig. 7).
+  if (const Json* tiles = doc.find("tile_stats");
+      tiles != nullptr && tiles->is_array() && !tiles->items().empty()) {
+    std::vector<double> busy;
+    for (const Json& t : tiles->items()) {
+      bool f = false;
+      busy.push_back(number_at(t, "pe_compute_cycles", &f) +
+                     number_at(t, "pe_mem_stall_cycles", &f));
+    }
+    const double busiest = *std::max_element(busy.begin(), busy.end());
+    bool f = false;
+    os << "\ntile load (load_imbalance="
+       << Table::fmt(number_at(doc, "derived.load_imbalance", &f), 4)
+       << "):\n";
+    Table t({"tile", "busy_cycles", "of_busiest"});
+    for (std::size_t i = 0; i < busy.size(); ++i) {
+      t.add_row({std::to_string(i), fmt_count(busy[i]),
+                 busiest > 0 ? Table::fmt_pct(busy[i] / busiest) : "-"});
+    }
+    t.print(os);
   }
 
   if (const Json* regions = find_path(doc, "memory_profile.regions");

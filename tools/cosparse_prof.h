@@ -6,9 +6,12 @@
 // builds remain comparable):
 //
 //   summarize <report.json>... [--telemetry <file.jsonl>]...
-//     prints, per report, the memory-profile region and per-tile breakdown
-//     tables and the decision-audit timeline (one row per SpMV invocation:
-//     features, CVD margin, chosen config, counterfactual estimates).
+//     prints, per report, the CPU profiler's kept/dropped sample counts
+//     (warning above 5 % dropped), per-tile busy cycles with
+//     derived.load_imbalance (sim reports), the memory-profile region and
+//     per-tile breakdown tables and the decision-audit timeline (one row
+//     per SpMV invocation: features, CVD margin, chosen config,
+//     counterfactual estimates).
 //     Each --telemetry file is summarized as per-snapshot percentile
 //     tables (count/Δcount/mean/p50/p90/p99/p999/max per metric) so an
 //     exported cosparse.telemetry/v1 stream can be read offline.
