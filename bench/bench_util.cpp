@@ -126,9 +126,7 @@ namespace {
 /// Process-wide observability sinks shared by every harness binary. Armed
 /// by init_observability(); all defaults are inert.
 struct ObsState {
-  std::string trace_path;
   std::string report_path;
-  obs::Trace trace;  ///< disabled until a trace output is requested
   obs::Report report{"bench"};
   std::unique_ptr<sim::MemProfiler> profiler;  ///< armed by --profile
   std::unique_ptr<sim::ParallelExecutor> executor;  ///< armed by --sim-threads
@@ -183,10 +181,6 @@ void add_common_options(CliParser& cli, const std::string& default_scale) {
 void add_observability_options(CliParser& cli) {
   cli.add_option("report-out",
                  "write a machine-readable JSON run report to this path", "");
-  cli.add_option("trace-out",
-                 "write Perfetto trace-event JSON to this path "
-                 "(COSPARSE_TRACE env var is the fallback)",
-                 "");
   cli.add_flag("profile",
                "attach the region-attributed memory profiler (adds the "
                "memory_profile report section; see cosparse-prof)");
@@ -209,9 +203,6 @@ void init_observability(const CliParser& cli) {
   ObsState& st = obs_state();
   st.report = obs::Report(cli.program());
   st.report_path = cli.str("report-out");
-  st.trace_path = cli.str("trace-out");
-  if (st.trace_path.empty()) st.trace_path = obs::trace_path_from_env();
-  if (!st.trace_path.empty()) st.trace = obs::Trace(true);
   if (cli.has("profile") && cli.flag("profile")) {
     st.profiler = std::make_unique<sim::MemProfiler>();
   }
@@ -244,15 +235,12 @@ void init_observability(const CliParser& cli) {
   st.cpu_profile.init(cli, cli.program());
 }
 
-obs::Trace* trace() { return &obs_state().trace; }
-
 sim::MemProfiler* profiler() { return obs_state().profiler.get(); }
 
 sim::ParallelExecutor* executor() { return obs_state().executor.get(); }
 
 runtime::EngineOptions engine_options() {
   runtime::EngineOptions o;
-  o.trace = trace();
   o.executor = executor();
   o.telemetry = telemetry();
   o.exec_mode = obs_state().exec_mode;
@@ -293,9 +281,6 @@ int finish_run() {
       st.report.set("cpu_profile", st.cpu_profile.report());
     }
     st.report.write(st.report_path);
-  }
-  if (st.trace.enabled() && !st.trace_path.empty()) {
-    st.trace.write(st.trace_path);
   }
   return exit_code;
 }

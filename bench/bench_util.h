@@ -19,7 +19,6 @@
 #include "obs/report.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "runtime/engine.h"
 #include "sim/machine.h"
 #include "sparse/formats.h"
@@ -70,26 +69,20 @@ std::vector<SweepMatrix> sweep_matrices(unsigned scale, bool power_law,
 void emit(const std::string& name, const Table& table);
 
 /// Adds the standard options shared by all harnesses, including the
-/// observability outputs --report-out and --trace-out.
+/// observability output --report-out.
 void add_common_options(CliParser& cli, const std::string& default_scale);
 
-/// Just the --report-out / --trace-out pair (for harnesses that do not
-/// take --scale). Included in add_common_options().
+/// Just the observability options (for harnesses that do not take
+/// --scale). Included in add_common_options().
 void add_observability_options(CliParser& cli);
 
-// ---- process-wide observability (one run report + trace per binary) ----
+// ---- process-wide observability (one run report per binary) ----
 
-/// Reads --report-out / --trace-out (the trace path falls back to the
-/// COSPARSE_TRACE environment variable) and arms the sinks below. Call
-/// once right after cli.parse(); harmless to skip — the sinks then stay
-/// disabled/unwritten. Exits the process with code 2 (usage error) when
-/// --sim-threads is not a thread count.
+/// Reads --report-out and the profiling/telemetry options and arms the
+/// sinks below. Call once right after cli.parse(); harmless to skip — the
+/// sinks then stay disabled/unwritten. Exits the process with code 2
+/// (usage error) when --sim-threads is not a thread count.
 void init_observability(const CliParser& cli);
-
-/// The process-wide trace sink. Never nullptr, but disabled (null sink)
-/// unless a trace output was requested. Pass into EngineOptions::trace or
-/// sim::Machine::set_trace.
-[[nodiscard]] obs::Trace* trace();
 
 /// The process-wide executor for native kernels, or nullptr when they run
 /// serially. Resolved from --sim-threads (falling back to the
@@ -106,10 +99,10 @@ void init_observability(const CliParser& cli);
 /// section.
 [[nodiscard]] sim::MemProfiler* profiler();
 
-/// Default EngineOptions with the process-wide trace sink, telemetry
-/// registry (also attached by time_ip/time_op), executor and execution
-/// mode (--exec-mode, COSPARSE_EXEC_MODE fallback, default sim) already
-/// attached; harnesses adjust the remaining fields as usual.
+/// Default EngineOptions with the process-wide telemetry registry (also
+/// attached by time_ip/time_op), executor and execution mode (--exec-mode,
+/// COSPARSE_EXEC_MODE fallback, default sim) already attached; harnesses
+/// adjust the remaining fields as usual.
 [[nodiscard]] runtime::EngineOptions engine_options();
 
 /// Sets a top-level section of the run report (e.g. "config", "dataset").
@@ -120,12 +113,12 @@ void report_set(const std::string& key, Json value);
 [[nodiscard]] Json to_json(const KernelRun& run);
 
 /// Folds the memory profile and, when armed, the telemetry and CPU-profile
-/// sections into the report, then writes the report and trace to the paths
-/// requested at init_observability() time (no-op for outputs that were
-/// not requested). Finalizes the telemetry session — final snapshot,
-/// exporter drain, SLO verdict — and returns the exit code the binary
-/// should propagate: 0 normally, 3 when --slo-strict was given and a rule
-/// was violated. Call `return bench::finish_run();` at the end of main().
+/// sections into the report, then writes the report to the path requested
+/// at init_observability() time (no-op when none was requested).
+/// Finalizes the telemetry session — final snapshot, exporter drain, SLO
+/// verdict — and returns the exit code the binary should propagate: 0
+/// normally, 3 when --slo-strict was given and a rule was violated. Call
+/// `return bench::finish_run();` at the end of main().
 [[nodiscard]] int finish_run();
 
 }  // namespace cosparse::bench

@@ -16,7 +16,6 @@
 #include "native/exec_mode.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "runtime/engine.h"
 #include "runtime/report.h"
 #include "sim/profile.h"
@@ -59,10 +58,6 @@ int main(int argc, char** argv) {
                  "COSPARSE_SIM_THREADS is the fallback; results are "
                  "bit-identical for any value)",
                  "");
-  cli.add_option("trace-out",
-                 "write Perfetto trace-event JSON to this path "
-                 "(COSPARSE_TRACE env var is the fallback)",
-                 "");
   cli.add_option("exec-mode",
                  "execution backend: sim (cycle-accurate, the default) or "
                  "native (results-only host kernels, no cycle model; "
@@ -83,11 +78,6 @@ int main(int argc, char** argv) {
   sim::MemProfiler profiler;
   const bool profile = cli.flag("profile");
 
-  // Shared trace sink: all three traversal engines publish into one
-  // timeline, with algo.bfs, algo.cc and algo.sssp spans.
-  std::string trace_path = cli.str("trace-out");
-  if (trace_path.empty()) trace_path = obs::trace_path_from_env();
-  obs::Trace trace(!trace_path.empty());
   runtime::EngineOptions obs_opts;
   const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
   if (!sim_threads.has_value()) return 2;
@@ -96,10 +86,9 @@ int main(int argc, char** argv) {
       cli.str("exec-mode").empty()
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
-  obs_opts.trace = &trace;
-  // One telemetry stream spans all three traversal engines, like the
-  // trace sink: algo.bfs.*, algo.cc.* and algo.sssp.* histograms
-  // accumulate into the same snapshots.
+  // One telemetry stream spans all three traversal engines: algo.bfs.*,
+  // algo.cc.* and algo.sssp.* histograms accumulate into the same
+  // snapshots.
   obs::TelemetrySession telemetry;
   telemetry.init(cli, "frontier_traversal");
   obs_opts.telemetry = telemetry.telemetry();
@@ -185,11 +174,6 @@ int main(int argc, char** argv) {
       report.write(path);
       std::cout << "wrote run report to " << path << "\n";
     }
-  }
-  if (trace.enabled()) {
-    trace.write(trace_path);
-    std::cout << "wrote trace to " << trace_path
-              << " (open at ui.perfetto.dev)\n";
   }
   return exit_code;
 }

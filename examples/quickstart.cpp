@@ -4,12 +4,11 @@
 // reconfiguring engine — one sparse frontier, one dense — plus a BFS over
 // the same graph, and shows the software/hardware configuration the
 // runtime picked for each step, plus the simulated cost. With
-// --report-out / --trace-out the same run emits a machine-readable JSON
-// run report and a Perfetto-loadable trace.
+// --report-out the same run emits a machine-readable JSON run report.
 //
 //   ./quickstart [--vertices N] [--edges M] [--seed S] [--profile]
 //                [--exec-mode sim|native]
-//                [--report-out run.json] [--trace-out trace.json]
+//                [--report-out run.json]
 //                [--telemetry-interval 1i --telemetry-out t.jsonl
 //                 --prom-out metrics.prom --slo 'p99.engine.iteration_ms<50']
 #include <iostream>
@@ -22,7 +21,6 @@
 #include "native/exec_mode.h"
 #include "obs/sampler.h"
 #include "obs/telemetry.h"
-#include "obs/trace.h"
 #include "runtime/engine.h"
 #include "runtime/report.h"
 #include "sim/profile.h"
@@ -50,18 +48,12 @@ int main(int argc, char** argv) {
                  "COSPARSE_EXEC_MODE is the fallback; results are "
                  "byte-identical across modes)",
                  "");
-  cli.add_option("trace-out",
-                 "write Perfetto trace-event JSON to this path "
-                 "(COSPARSE_TRACE env var is the fallback)",
-                 "");
   obs::TelemetrySession::add_cli_options(cli);
   obs::CpuProfileSession::add_cli_options(cli);
   if (!cli.parse(argc, argv)) return 1;
   const auto n = static_cast<Index>(cli.integer("vertices"));
   const auto m = static_cast<std::uint64_t>(cli.integer("edges"));
   const auto seed = static_cast<std::uint64_t>(cli.integer("seed"));
-  std::string trace_path = cli.str("trace-out");
-  if (trace_path.empty()) trace_path = obs::trace_path_from_env();
 
   // 1. An input graph (any sparse::Coo adjacency works; see sparse/io.h
   //    for Matrix Market / SNAP edge-list loaders).
@@ -71,10 +63,8 @@ int main(int argc, char** argv) {
 
   // 2. A simulated Transmuter-class system (Table II defaults) and the
   //    engine: it keeps both matrix layouts resident and reconfigures the
-  //    memory hierarchy per SpMV invocation. The trace sink is optional —
-  //    without it the engine pays one pointer test per event.
+  //    memory hierarchy per SpMV invocation.
   const auto system = sim::SystemConfig::transmuter(4, 8);
-  obs::Trace trace(!trace_path.empty());
   runtime::EngineOptions opts;
   const std::optional<std::uint32_t> sim_threads = sim_threads_from_cli(cli);
   if (!sim_threads.has_value()) return 2;
@@ -83,7 +73,6 @@ int main(int argc, char** argv) {
       cli.str("exec-mode").empty()
           ? std::nullopt
           : std::optional<std::string>(cli.str("exec-mode")));
-  opts.trace = &trace;
   // Continuous telemetry (off unless --telemetry-interval or
   // COSPARSE_TELEMETRY arms it): streaming histograms snapshotted to
   // JSONL/OpenMetrics, watched by the SLO rules. Render the JSONL with
@@ -150,11 +139,11 @@ int main(int argc, char** argv) {
               << engine.machine().watts() << " W\n";
   }
 
-  // 6. Machine-readable outputs: one JSON run report (global + per-tile
-  //    stats, iteration records, metrics, telemetry) and a Perfetto
-  //    trace. Finalize telemetry first so the final flush snapshot and
-  //    SLO verdict land in the report's telemetry section; the returned
-  //    code is nonzero only under --slo-strict with a violated rule.
+  // 6. Machine-readable output: one JSON run report (global + per-tile
+  //    stats, iteration records, metrics, telemetry). Finalize telemetry
+  //    first so the final flush snapshot and SLO verdict land in the
+  //    report's telemetry section; the returned code is nonzero only under
+  //    --slo-strict with a violated rule.
   const int exit_code = telemetry.finalize();
   cpu_profile.finalize();  // stop sampling before the report is cut
   if (const std::string path = cli.str("report-out"); !path.empty()) {
@@ -190,11 +179,6 @@ int main(int argc, char** argv) {
     }
     report.write(path);
     std::cout << "wrote run report to " << path << "\n";
-  }
-  if (trace.enabled()) {
-    trace.write(trace_path);
-    std::cout << "wrote trace to " << trace_path
-              << " (open at ui.perfetto.dev)\n";
   }
   return exit_code;
 }

@@ -20,8 +20,7 @@ using sparse::SparseVector;
 /// Captures engine totals at algorithm start, slices out the algorithm's
 /// own contribution at the end, appends it to the engine's algorithm-run
 /// log (the report's algo.<name>.* counters) and publishes it into the
-/// attached telemetry/trace sinks (one "algos" track span covering the
-/// whole run).
+/// attached telemetry registry.
 class AlgoRun {
  public:
   AlgoRun(Engine& eng, const char* algo)
@@ -56,13 +55,6 @@ class AlgoRun {
         iter_cycles.observe(static_cast<double>(r.cycles));
         frontier_nnz.observe(static_cast<double>(r.frontier_nnz));
       }
-    }
-    if (obs::Trace* t = eng_->trace(); t != nullptr && t->enabled()) {
-      Json args = Json::object();
-      args["iterations"] = s.iterations;
-      args["energy_pj"] = s.energy_pj;
-      t->add_span("algos", algo_, static_cast<double>(start_cycles_),
-                  static_cast<double>(eng_->total_cycles()), std::move(args));
     }
     return s;
   }

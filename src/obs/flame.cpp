@@ -62,7 +62,7 @@ FoldedProfile FoldedProfile::parse(const std::string& text) {
 }
 
 bool is_phase_frame(const std::string& frame) {
-  if (frame == "(untagged)") return true;
+  if (frame == "(untagged)" || frame == kDroppedFrame) return true;
   bool has_dot = false;
   for (char c : frame) {
     if (c == '.') {
@@ -101,11 +101,17 @@ void print_phase_table(std::ostream& os, const FoldedProfile& profile) {
   const double total =
       profile.total_samples > 0 ? static_cast<double>(profile.total_samples)
                                 : 1.0;
+  double dropped = 0.0;
   for (const auto& [phase, count] : phase_totals(profile)) {
     table.add_row({phase, std::to_string(count),
                    Table::fmt_pct(static_cast<double>(count) / total)});
+    if (phase == kDroppedFrame) dropped = static_cast<double>(count);
   }
   table.print(os);
+  if (20.0 * dropped > total) {
+    os << "warning: " << Table::fmt_pct(dropped / total)
+       << " of CPU-profile samples were dropped (> 5%)\n";
+  }
 }
 
 Json phases_json(const FoldedProfile& profile) {

@@ -8,8 +8,9 @@
 //   engine.spmv;kernel.ip;cosparse::kernels::run_inner_product 42
 //
 // obs::SampleProfiler emits it (phase-tag frames first, then symbol
-// frames); this header consumes it with no simulator dependency, so
-// profiles from different builds/runs stay comparable — the same split
+// frames, plus one "(dropped) N" line when it lost samples); this header
+// consumes it with no simulator dependency, so profiles from different
+// builds/runs stay comparable — the same split
 // cosparse-prof keeps for run reports. Rendering produces a single
 // self-contained HTML file (inline SVG icicle, hover tooltips via <title>,
 // zero external dependencies) so a CI artifact can be opened anywhere.
@@ -18,12 +19,17 @@
 #include <cstdint>
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "common/json.h"
 
 namespace cosparse::obs {
+
+/// The one-frame stack that counts samples the profiler took but could not
+/// keep. It is a phase frame, so shares cover every sample taken.
+inline constexpr std::string_view kDroppedFrame = "(dropped)";
 
 struct FoldedStack {
   std::vector<std::string> frames;  ///< outermost first
@@ -40,8 +46,9 @@ struct FoldedProfile {
 };
 
 /// Whether a frame string is a phase tag rather than a symbol: a dotted
-/// lowercase identifier like "engine.spmv" (or the "(untagged)" marker).
-/// Symbols never qualify — they carry "::", parentheses, spaces or hex.
+/// lowercase identifier like "engine.spmv" (or the "(untagged)" and
+/// "(dropped)" markers). Symbols never qualify — they carry "::",
+/// parentheses, spaces or hex.
 [[nodiscard]] bool is_phase_frame(const std::string& frame);
 
 /// Sample count per *leaf* phase: the deepest frame of each stack's
@@ -50,7 +57,8 @@ struct FoldedProfile {
 [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>> phase_totals(
     const FoldedProfile& profile);
 
-/// Per-phase share table (phase, samples, share%) for terminal output.
+/// Per-phase share table (phase, samples, share%) for terminal output,
+/// followed by a warning when more than 5 % of the samples were dropped.
 void print_phase_table(std::ostream& os, const FoldedProfile& profile);
 
 /// The `cpu_profile` phases object: {"<phase>": {"samples": n, "share": s}}

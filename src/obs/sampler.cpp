@@ -1,5 +1,6 @@
 #include "obs/sampler.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstdlib>
@@ -28,16 +29,18 @@ namespace cosparse::obs {
 namespace {
 
 constexpr int kMaxFrames = SampleProfiler::kMaxFrames;
-constexpr int kMaxPhaseDepth = SampleProfiler::kMaxPhaseDepth;
 
 /// One raw sample as written by the signal handler: program counters
 /// innermost-first plus the phase-tag stack outermost-first. Pointers
-/// only — symbolization happens at harvest.
+/// only — symbolization happens at harvest. Trivial on purpose: a new ring
+/// (~17 MB at the default capacity) is then never written at allocation,
+/// so registering a thread mid-profile costs no page faults. The handler
+/// writes every field of a slot before publishing it.
 struct RawSample {
   void* pcs[kMaxFrames];
   const char* phases[kMaxPhaseDepth];
-  int num_pcs = 0;
-  int num_phases = 0;
+  int num_pcs;
+  int num_phases;
 };
 
 /// Per-thread profiler state. Heap-allocated on a thread's first
@@ -151,31 +154,45 @@ const char* intern_phase_tag(const std::string& tag) {
   return interned->insert(tag).first->c_str();
 }
 
-PhaseScope::PhaseScope(const char* tag) noexcept : state_(nullptr) {
-  ThreadState* ts = t_state;
-  if (ts == nullptr) {
+PhaseStack current_phase_stack() noexcept {
+  PhaseStack stack;
+  if (const ThreadState* ts = t_state; ts != nullptr) {
+    stack.depth =
+        std::min(ts->depth.load(std::memory_order_relaxed), kMaxPhaseDepth);
+    std::copy_n(ts->tags, stack.depth, stack.tags);
+  }
+  return stack;
+}
+
+PhaseScope::PhaseScope(const char* tag) noexcept
+    : PhaseScope(PhaseStack{{tag}, 1}) {}
+
+PhaseScope::PhaseScope(const PhaseStack& stack) noexcept : state_(t_state) {
+  if (state_ == nullptr) {
     try {
-      ts = register_thread();
+      state_ = register_thread();
     } catch (...) {
       return;  // out of memory: run untagged rather than crash
     }
   }
-  state_ = ts;
-  const int d = ts->depth.load(std::memory_order_relaxed);
-  if (d < kMaxPhaseDepth) {
-    ts->tags[d] = tag;
-    // Publish the tag before the depth that exposes it to the (same
-    // thread) signal handler.
-    std::atomic_signal_fence(std::memory_order_release);
+  auto* ts = static_cast<ThreadState*>(state_);
+  for (; pushed_ < stack.depth; ++pushed_) {
+    const int d = ts->depth.load(std::memory_order_relaxed);
+    if (d < kMaxPhaseDepth) {
+      ts->tags[d] = stack.tags[pushed_];
+      // Publish the tag before the depth that exposes it to the (same
+      // thread) signal handler.
+      std::atomic_signal_fence(std::memory_order_release);
+    }
+    ts->depth.store(d + 1, std::memory_order_relaxed);
   }
-  ts->depth.store(d + 1, std::memory_order_relaxed);
 }
 
 PhaseScope::~PhaseScope() {
   if (state_ == nullptr) return;
   auto* ts = static_cast<ThreadState*>(state_);
   const int d = ts->depth.load(std::memory_order_relaxed);
-  if (d > 0) ts->depth.store(d - 1, std::memory_order_relaxed);
+  ts->depth.store(std::max(d - pushed_, 0), std::memory_order_relaxed);
 }
 
 SampleProfiler::SampleProfiler(SampleProfilerOptions opts) : opts_(opts) {
@@ -381,6 +398,13 @@ void SampleProfiler::stop() { running_ = false; }
 #endif  // COSPARSE_SAMPLER_POSIX
 
 std::string SampleProfiler::folded() const {
+  // "(dropped)" sorts before every phase frame, so the text stays sorted.
+  if (dropped_ == 0) return kept_folded();
+  return std::string(kDroppedFrame) + " " + std::to_string(dropped_) + "\n" +
+         kept_folded();
+}
+
+std::string SampleProfiler::kept_folded() const {
   std::string out;
   for (const auto& [stack, count] : stacks_) {
     out += stack;
@@ -393,7 +417,7 @@ std::string SampleProfiler::folded() const {
 
 std::vector<std::pair<std::string, std::uint64_t>>
 SampleProfiler::phase_totals() const {
-  return obs::phase_totals(FoldedProfile::parse(folded()));
+  return obs::phase_totals(FoldedProfile::parse(kept_folded()));
 }
 
 Json SampleProfiler::report_json() const {
@@ -403,7 +427,7 @@ Json SampleProfiler::report_json() const {
   j["samples"] = num_samples_;
   j["dropped_samples"] = dropped_;
   j["threads"] = static_cast<std::int64_t>(num_threads_);
-  j["phases"] = phases_json(FoldedProfile::parse(folded()));
+  j["phases"] = phases_json(FoldedProfile::parse(kept_folded()));
   return j;
 }
 

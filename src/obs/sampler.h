@@ -6,11 +6,12 @@
 // ITIMER_PROF so the kernel delivers SIGPROF at a fixed CPU-time cadence;
 // the async-signal-safe handler captures a raw backtrace plus the calling
 // thread's *phase-tag stack* — a tiny thread-local stack of interned
-// strings pushed by PhaseScope at the same places the trace-span
-// instrumentation already marks logical phases (`engine.spmv`,
-// `kernel.ip`, `sim.exec`, `graph.bfs`, ...) — into a
-// per-thread lock-free ring buffer. Symbolization (dladdr + demangling)
-// happens entirely off the hot path, at stop().
+// strings pushed by PhaseScope where the code enters a logical phase
+// (`engine.spmv`, `kernel.ip`, `sim.exec`, `graph.bfs`, ...) — into a
+// per-thread lock-free ring buffer. sim::ParallelExecutor runs each pool
+// task under the submitting thread's stack (current_phase_stack()), so
+// samples on pool threads land in the submitter's phase. Symbolization
+// (dladdr + demangling) happens entirely off the hot path, at stop().
 //
 // The output is folded-stack text (`phase;phase;symbol;symbol count`, one
 // line per distinct stack — the flamegraph interchange format consumed by
@@ -38,6 +39,19 @@ namespace cosparse::obs {
 
 inline constexpr std::string_view kCpuProfileSchema = "cosparse.cpu_profile/v1";
 
+/// Phase tags kept per thread stack and per sample (outermost first).
+inline constexpr int kMaxPhaseDepth = 8;
+
+/// A copy of one thread's phase-tag stack. Tags are string literals or
+/// interned pointers, so the copy stays valid on any thread.
+struct PhaseStack {
+  const char* tags[kMaxPhaseDepth] = {};
+  int depth = 0;  ///< at most kMaxPhaseDepth
+};
+
+/// The calling thread's current phase-tag stack (outermost tags kept).
+[[nodiscard]] PhaseStack current_phase_stack() noexcept;
+
 /// Returns a stable, process-lifetime pointer for a phase-tag string.
 /// PhaseScope keeps only the pointer (the signal handler copies pointers,
 /// never characters), so tags built at runtime — e.g. "graph." + algo —
@@ -52,13 +66,17 @@ inline constexpr std::string_view kCpuProfileSchema = "cosparse.cpu_profile/v1";
 class PhaseScope {
  public:
   explicit PhaseScope(const char* tag) noexcept;
+  /// Pushes every tag of `stack`, outermost first: runs work handed to
+  /// another thread under the phases of the thread that handed it over.
+  explicit PhaseScope(const PhaseStack& stack) noexcept;
   ~PhaseScope();
 
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
-  void* state_;  ///< the thread's registered phase/ring state
+  void* state_;     ///< the thread's registered phase/ring state
+  int pushed_ = 0;  ///< tags this scope pushed (popped at exit)
 };
 
 struct SampleProfilerOptions {
@@ -76,8 +94,7 @@ struct SampleProfilerOptions {
 /// already-running instance. Typical use is via CpuProfileSession below.
 class SampleProfiler {
  public:
-  static constexpr int kMaxFrames = 24;     ///< raw PCs kept per sample
-  static constexpr int kMaxPhaseDepth = 8;  ///< phase tags kept per sample
+  static constexpr int kMaxFrames = 24;  ///< raw PCs kept per sample
 
   explicit SampleProfiler(SampleProfilerOptions opts = {});
   ~SampleProfiler();  ///< stops (and discards nothing) if still running
@@ -112,17 +129,20 @@ class SampleProfiler {
 
   /// Folded-stack text: one "phase;...;symbol;... count" line per distinct
   /// stack, sorted lexicographically (deterministic given the samples).
+  /// When samples were dropped, a leading "(dropped) N" line records them,
+  /// so the file's total is every sample taken.
   [[nodiscard]] std::string folded() const;
 
-  /// Sample count per *leaf* phase (deepest tag at capture time; samples
-  /// taken outside any PhaseScope fall into "(untagged)"), sorted by
-  /// descending count then name.
+  /// Sample count per *leaf* phase of the kept samples (deepest tag at
+  /// capture time; samples taken outside any PhaseScope fall into
+  /// "(untagged)"), sorted by descending count then name.
   [[nodiscard]] std::vector<std::pair<std::string, std::uint64_t>>
   phase_totals() const;
 
   /// The report's `cpu_profile` section: schema, period, sample/drop/
-  /// thread counts and per-phase {samples, share}. Wall-clock-dependent,
-  /// so obs::results_subset strips it (bit-neutrality contract).
+  /// thread counts and per-phase {samples, share} of the kept samples.
+  /// Wall-clock-dependent, so obs::results_subset strips it
+  /// (bit-neutrality contract).
   [[nodiscard]] Json report_json() const;
 
  private:
@@ -131,6 +151,7 @@ class SampleProfiler {
   std::uint64_t num_samples_ = 0;
   std::uint64_t dropped_ = 0;
   std::uint32_t num_threads_ = 0;
+  [[nodiscard]] std::string kept_folded() const;  ///< without "(dropped)"
   /// stack key ("ph;ph;sym;sym") -> sample count, built at stop().
   std::vector<std::pair<std::string, std::uint64_t>> stacks_;
 };
@@ -158,7 +179,6 @@ class CpuProfileSession {
   void init(const CliParser& cli, const std::string& tool);
 
   [[nodiscard]] bool armed() const { return profiler_ != nullptr; }
-  [[nodiscard]] const std::string& folded_path() const { return path_; }
 
   /// Stops the profiler and writes the folded stacks + flamegraph HTML.
   /// Idempotent. Returns 0 (profiling never fails a run; IO errors print

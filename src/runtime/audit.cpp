@@ -53,25 +53,6 @@ Json DecisionRecord::to_json() const {
   return o;
 }
 
-Json DecisionRecord::to_span_args() const {
-  Json o = Json::object();
-  o["invocation"] = invocation;
-  o["vector_density"] = features.vector_density;
-  o["cvd"] = cvd;
-  o["sw"] = to_string(sw);
-  o["hw"] = sim::to_string(hw);
-  Json cs = Json::object();
-  for (const ThresholdCheck& c : checks) cs[c.name] = c.margin;
-  o["margins"] = std::move(cs);
-  Json cf = Json::object();
-  for (const Counterfactual& c : counterfactuals) {
-    cf[std::string(to_string(c.sw)) + "/" + sim::to_string(c.hw)] =
-        c.est_cycles;
-  }
-  o["est_cycles"] = std::move(cf);
-  return o;
-}
-
 void AuditTrail::record(DecisionRecord rec) {
   rec.invocation = next_invocation_++;
   records_.push_back(std::move(rec));

@@ -87,9 +87,6 @@ struct DecisionRecord {
   std::vector<Counterfactual> counterfactuals;
 
   [[nodiscard]] Json to_json() const;
-  /// Compact subset (density, cvd margin, chosen configs, estimates) for
-  /// trace-span args.
-  [[nodiscard]] Json to_span_args() const;
 };
 
 class AuditTrail {

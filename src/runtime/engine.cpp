@@ -44,7 +44,6 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
       decider_(cfg, opts.thresholds),
       native_hw_(opts.fixed_hw.value_or(sim::HwConfig::kSC)),
       prepared_(std::move(prepared)),
-      trace_(opts.trace),
       telemetry_(opts.telemetry) {
   COSPARSE_REQUIRE(
       prepared_ != nullptr && prepared_->num_pes == cfg.num_pes() &&
@@ -53,7 +52,6 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
           prepared_->vblock_cols ==
               (opts_.vblocked ? kernels::default_vblock_cols(cfg) : 0),
       "engine: prepared matrix was built for a different system or layout");
-  machine_.set_trace(trace_);
   machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
       opts_.exec_mode == native::ExecMode::kNative) {
@@ -201,51 +199,23 @@ IterationRecord iteration_record_from_json(const Json& j) {
   return rec;
 }
 
-void Engine::record_iteration(const IterationRecord& rec, Cycles iter_begin,
-                              Cycles kernel_begin, Cycles kernel_end,
+void Engine::record_iteration(const IterationRecord& rec, Cycles kernel_cycles,
                               double wall_ms) {
+  if (telemetry_ == nullptr) return;
   const bool is_native = opts_.exec_mode == native::ExecMode::kNative;
-  if (telemetry_ != nullptr) {
-    telemetry_->histogram("engine.iteration_ms").observe(wall_ms);
-    if (!is_native) {
-      telemetry_->histogram("engine.iteration_cycles")
-          .observe(static_cast<double>(rec.cycles));
-      telemetry_->histogram("engine.kernel_cycles")
-          .observe(static_cast<double>(kernel_end - kernel_begin));
-    }
-    telemetry_->histogram("engine.frontier_density").observe(rec.density);
-    if (!is_native && rec.converted_frontier) {
-      telemetry_->histogram("engine.convert_cycles")
-          .observe(static_cast<double>(rec.convert_cycles));
-    }
-    telemetry_->tick(rec.index + 1);
+  telemetry_->histogram("engine.iteration_ms").observe(wall_ms);
+  if (!is_native) {
+    telemetry_->histogram("engine.iteration_cycles")
+        .observe(static_cast<double>(rec.cycles));
+    telemetry_->histogram("engine.kernel_cycles")
+        .observe(static_cast<double>(kernel_cycles));
   }
-  if (is_native) return;  // trace spans live in the simulated-cycle domain
-  if (trace_ != nullptr && trace_->enabled()) {
-    Json args = Json::object();
-    args["iteration"] = rec.index;
-    args["sw"] = to_string(rec.sw);
-    args["hw"] = sim::to_string(rec.hw);
-    args["frontier_nnz"] = rec.frontier_nnz;
-    args["density"] = rec.density;
-    args["reconfigured"] = rec.hw_switched;
-    if (!audit_.empty()) {
-      // One decision is audited per spmv() call, so the latest record is
-      // this iteration's.
-      args["decision"] = audit_.records().back().to_span_args();
-    }
-    const double end = static_cast<double>(machine_.cycles());
-    trace_->add_span("engine",
-                     std::string("spmv ") + to_string(rec.sw) + "/" +
-                         sim::to_string(rec.hw),
-                     static_cast<double>(iter_begin), end, std::move(args));
-    trace_->add_span("kernels",
-                     rec.sw == SwConfig::kIP ? "IP kernel" : "OP kernel",
-                     static_cast<double>(kernel_begin),
-                     static_cast<double>(kernel_end));
-    trace_->add_counter("engine", "frontier_density",
-                        static_cast<double>(iter_begin), rec.density);
+  telemetry_->histogram("engine.frontier_density").observe(rec.density);
+  if (!is_native && rec.converted_frontier) {
+    telemetry_->histogram("engine.convert_cycles")
+        .observe(static_cast<double>(rec.convert_cycles));
   }
+  telemetry_->tick(rec.index + 1);
 }
 
 const kernels::DenseFrontier& Engine::fill_dense_staging(
@@ -290,13 +260,6 @@ const kernels::DenseFrontier& Engine::convert_to_dense(
   machine_.dma_traffic(sv.nnz() * 9, /*write=*/true);
   machine_.global_barrier();
   if (cost != nullptr) *cost = machine_.cycles() - start;
-  if (trace_ != nullptr && trace_->enabled()) {
-    Json args = Json::object();
-    args["entries"] = sv.nnz();
-    trace_->add_span("kernels", "convert sparse->dense",
-                     static_cast<double>(start),
-                     static_cast<double>(machine_.cycles()), std::move(args));
-  }
   return fill_dense_staging(sv, identity);
 }
 
@@ -332,13 +295,6 @@ const sparse::SparseVector& Engine::convert_to_sparse(
   }
   machine_.global_barrier();
   if (cost != nullptr) *cost = machine_.cycles() - start;
-  if (trace_ != nullptr && trace_->enabled()) {
-    Json args = Json::object();
-    args["entries"] = df.num_active;
-    trace_->add_span("kernels", "convert dense->sparse",
-                     static_cast<double>(start),
-                     static_cast<double>(machine_.cycles()), std::move(args));
-  }
   return fill_sparse_staging(df);
 }
 

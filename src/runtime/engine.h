@@ -25,7 +25,6 @@
 #include "common/json.h"
 #include "kernels/address_map.h"
 #include "obs/sampler.h"
-#include "obs/trace.h"
 #include "kernels/frontier.h"
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
@@ -61,11 +60,6 @@ struct EngineOptions {
   /// Vertical blocking for IP (vblocks sized to the tile SPM).
   bool vblocked = true;
   Thresholds thresholds;
-  /// Optional trace sink (not owned; must outlive the engine). With a
-  /// null/disabled trace the hot path only pays a pointer test per
-  /// iteration. The report's "metrics" section needs no sink: it is a view
-  /// of the iteration log, the decision audit and the algorithm runs.
-  obs::Trace* trace = nullptr;
   /// Continuous telemetry registry (obs/telemetry.h; not owned). The
   /// engine observes per-iteration wall/cycle/density histograms, attaches
   /// the registry to the machine for per-phase wall timing, and pulses the
@@ -135,7 +129,7 @@ struct IterationRecord {
   Picojoules energy_pj = 0;
 };
 
-/// Report/trace serialization of one iteration record. Field names are the
+/// Report serialization of one iteration record. Field names are the
 /// run-report schema ("iterations" array, DESIGN.md §8).
 [[nodiscard]] Json to_json(const IterationRecord& rec);
 /// Inverse of to_json(); throws cosparse::Error on missing/invalid fields.
@@ -236,7 +230,6 @@ class Engine {
   /// "decision_audit" run-report section).
   [[nodiscard]] const AuditTrail& audit() const { return audit_; }
   [[nodiscard]] const EngineOptions& options() const { return opts_; }
-  [[nodiscard]] obs::Trace* trace() const { return trace_; }
   /// The continuous-telemetry registry (nullptr when none was attached);
   /// report.cpp folds its digests into the run report's telemetry section.
   [[nodiscard]] obs::Telemetry* telemetry() const { return telemetry_; }
@@ -288,11 +281,10 @@ class Engine {
   /// logged: the staging buffers have the engine's fixed size.
   void check_frontier(const Frontier& f) const;
 
-  /// Publishes the finished iteration into the attached trace/telemetry
-  /// sinks (no-op without sinks). Lives in engine.cpp so the template
+  /// Publishes the finished iteration into the attached telemetry
+  /// registry (no-op without one). Lives in engine.cpp so the template
   /// above stays lean.
-  void record_iteration(const IterationRecord& rec, Cycles iter_begin,
-                        Cycles kernel_begin, Cycles kernel_end,
+  void record_iteration(const IterationRecord& rec, Cycles kernel_cycles,
                         double wall_ms);
 
   /// Native-mode body of spmv() (engine.h bottom); same decision flow,
@@ -329,7 +321,6 @@ class Engine {
   std::vector<AlgoRunRecord> algo_runs_;
   std::uint32_t next_iteration_ = 0;
   std::optional<SwConfig> last_sw_;
-  obs::Trace* trace_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
 };
 
@@ -427,7 +418,7 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
                              std::chrono::steady_clock::now() -  // cosparse-lint: allow(determinism)
                              wall_begin)
                              .count();
-  record_iteration(rec, start_cycles, kernel_begin, kernel_end, wall_ms);
+  record_iteration(rec, kernel_end - kernel_begin, wall_ms);
   return out;
 }
 
@@ -500,7 +491,7 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
                              std::chrono::steady_clock::now() -  // cosparse-lint: allow(determinism)
                              wall_begin)
                              .count();
-  record_iteration(rec, 0, 0, 0, wall_ms);
+  record_iteration(rec, 0, wall_ms);
   return out;
 }
 

@@ -414,8 +414,6 @@ void Machine::global_barrier() {
 }
 
 void Machine::reconfigure(HwConfig next) {
-  const double span_begin = static_cast<double>(cycles());
-  const HwConfig from = hw_;
   global_barrier();
   // Write back all dirty lines; banks drain in parallel, bounded by DRAM
   // bandwidth. Dirty lines are attributed to the tile owning the flushed
@@ -485,16 +483,6 @@ void Machine::reconfigure(HwConfig next) {
   hw_ = next;
   rebuild_hierarchy();
   bump(0, [](Stats& s) { ++s.reconfigurations; });
-  if (trace_ != nullptr && trace_->enabled()) {
-    Json args = Json::object();
-    args["from"] = to_string(from);
-    args["to"] = to_string(next);
-    args["flushed_dirty_lines"] = dirty;
-    trace_->add_span("machine", std::string("reconfigure ") + to_string(from) +
-                                    "->" + to_string(next),
-                     span_begin, static_cast<double>(cycles()),
-                     std::move(args));
-  }
 }
 
 Cycles Machine::cycles() const {

@@ -34,7 +34,6 @@
 #include <string_view>
 #include <vector>
 
-#include "obs/trace.h"
 #include "sim/cache.h"
 #include "sim/config.h"
 #include "sim/dram.h"
@@ -157,11 +156,6 @@ class Machine {
   void reconfigure(HwConfig next);
 
   // ---- observability ----
-  /// Attaches a trace sink; reconfigure() then records flush spans on the
-  /// "machine" track. Pass nullptr (the default state) to detach — the
-  /// only cost of detached tracing is one pointer test per event site.
-  void set_trace(obs::Trace* trace) { trace_ = trace; }
-
   /// Attaches a region-attributed memory profiler (sim/profile.h). The
   /// machine rebinds it (MemProfiler::begin_machine) and replays every
   /// allocation made so far, so attaching after kernel setup still
@@ -245,7 +239,6 @@ class Machine {
   std::vector<Stats> tile_stats_;  ///< per tile; sums to stats_
   Dram dram_;
   EnergyModel energy_;
-  obs::Trace* trace_ = nullptr;
   MemProfiler* prof_ = nullptr;
   obs::Telemetry* telemetry_ = nullptr;
 

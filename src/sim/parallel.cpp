@@ -29,6 +29,7 @@ void ParallelExecutor::run(std::uint32_t count,
   std::unique_lock<std::mutex> lk(mu_);
   COSPARSE_CHECK_MSG(job_ == nullptr, "ParallelExecutor::run is not reentrant");
   job_ = &fn;
+  job_phases_ = obs::current_phase_stack();
   next_ = 0;
   count_ = count;
   pending_ = count;
@@ -52,9 +53,11 @@ void ParallelExecutor::worker() {
     while (job_ != nullptr && next_ < count_) {
       const std::uint32_t i = next_++;
       const auto* fn = job_;
+      const obs::PhaseStack phases = job_phases_;
       lk.unlock();
       std::exception_ptr err;
       try {
+        const obs::PhaseScope scope(phases);
         (*fn)(i);
       } catch (...) {
         err = std::current_exception();

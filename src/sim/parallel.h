@@ -7,7 +7,9 @@
 // finished. Determinism is the caller's job — native kernel tasks write
 // only task-exclusive output slots (DESIGN.md §14) — so the executor only
 // provides raw concurrency, and any thread count, including 1, produces
-// bit-identical results.
+// bit-identical results. Each task runs under the submitting thread's
+// phase-tag stack, so the CPU profiler attributes pool-thread samples to
+// the phase that dispatched them.
 #pragma once
 
 #include <condition_variable>
@@ -17,6 +19,8 @@
 #include <mutex>
 #include <thread>
 #include <vector>
+
+#include "obs/sampler.h"
 
 namespace cosparse::sim {
 
@@ -47,6 +51,7 @@ class ParallelExecutor {
   std::condition_variable work_cv_;
   std::condition_variable done_cv_;
   const std::function<void(std::uint32_t)>* job_ = nullptr;
+  obs::PhaseStack job_phases_;  ///< the submitter's tags, for every task
   std::uint32_t next_ = 0;
   std::uint32_t count_ = 0;
   std::uint32_t pending_ = 0;

@@ -8,7 +8,7 @@ namespace {
 /// The canonical field list. Every name-dependent view of Stats
 /// (operator+=, operator-, print, to_json, for_each_counter) is derived
 /// from this single visitation, so counter naming cannot drift between
-/// text tables, JSON reports and traces.
+/// text tables and JSON reports.
 template <class A, class B, class Fn>
 void visit_fields(A& a, B& b, Fn&& fn) {
   fn("pe_compute_cycles", a.pe_compute_cycles, b.pe_compute_cycles);

@@ -3,12 +3,11 @@
 // The energy model (sim/energy.h) converts these counts to picojoules; the
 // benchmark harness prints selected counters (hit rates, DRAM traffic) to
 // explain the shapes of the reproduced figures, and the observability layer
-// (src/obs) exports them into traces and machine-readable run reports.
+// (src/obs) exports them into machine-readable run reports and telemetry.
 //
 // Counter *names* have a single source of truth: the field list in
 // stats.cpp. print(), to_json() and for_each_counter() all derive from it,
-// so a counter appears under the same name in text tables, JSON reports and
-// trace args.
+// so a counter appears under the same name in text tables and JSON reports.
 #pragma once
 
 #include <cstdint>

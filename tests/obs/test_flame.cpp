@@ -19,6 +19,9 @@ const char* kFolded =
     "engine.spmv;kernel.ip 5\n"
     "(untagged);main 45\n";
 
+/// kFolded as a profiler writes it after losing 25 samples.
+const std::string kFoldedDropped = std::string("(dropped) 25\n") + kFolded;
+
 TEST(FoldedProfile, ParsesStacksAndTotals) {
   const FoldedProfile p = FoldedProfile::parse(kFolded);
   ASSERT_EQ(p.stacks.size(), 4u);
@@ -52,6 +55,7 @@ TEST(FoldedProfile, PhaseFrameDetection) {
   EXPECT_TRUE(is_phase_frame("sim.exec"));
   EXPECT_TRUE(is_phase_frame("graph.bfs"));
   EXPECT_TRUE(is_phase_frame("(untagged)"));
+  EXPECT_TRUE(is_phase_frame("(dropped)"));
   EXPECT_FALSE(is_phase_frame("main"));                // no dot
   EXPECT_FALSE(is_phase_frame("cosparse::sim::run"));  // symbol
   EXPECT_FALSE(is_phase_frame("Engine.Spmv"));         // uppercase
@@ -71,6 +75,12 @@ TEST(FoldedProfile, PhaseTotalsUseTheLeafPhaseOfEachStack) {
   EXPECT_EQ(totals[1].second, 45u);
   EXPECT_EQ(totals[2].first, "kernel.op");
   EXPECT_EQ(totals[2].second, 10u);
+
+  // Dropped samples are their own phase, so shares cover all 125 taken.
+  const auto with_drops = phase_totals(FoldedProfile::parse(kFoldedDropped));
+  ASSERT_EQ(with_drops.size(), 4u);
+  EXPECT_EQ(with_drops[2], std::make_pair(std::string(kDroppedFrame),
+                                          std::uint64_t{25}));
 }
 
 TEST(FoldedProfile, PhasesJsonCarriesSamplesAndShares) {
@@ -89,6 +99,15 @@ TEST(FoldedProfile, PhaseTableListsEveryPhase) {
   EXPECT_NE(out.find("kernel.ip"), std::string::npos);
   EXPECT_NE(out.find("kernel.op"), std::string::npos);
   EXPECT_NE(out.find("(untagged)"), std::string::npos);
+  EXPECT_EQ(out.find("warning"), std::string::npos);
+
+  // 25 of 125 samples dropped (20 %): the table shows the share and warns.
+  std::ostringstream dropped;
+  print_phase_table(dropped, FoldedProfile::parse(kFoldedDropped));
+  EXPECT_NE(dropped.str().find("warning: 20.0% of CPU-profile samples were "
+                               "dropped"),
+            std::string::npos)
+      << dropped.str();
 }
 
 TEST(FoldedProfile, FlamegraphHtmlIsSelfContained) {

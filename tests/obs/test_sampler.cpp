@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <sstream>
@@ -14,6 +15,7 @@
 
 #include "common/json.h"
 #include "obs/flame.h"
+#include "sim/parallel.h"
 
 namespace cosparse::obs {
 namespace {
@@ -203,6 +205,72 @@ TEST(SampleProfiler, WorkerThreadSamplesAreHarvested) {
   }
   EXPECT_GT(worker_count, 0u) << profiler.folded();
   EXPECT_GE(profiler.num_threads(), 1u);
+}
+
+/// Pool workers push no tag of their own: each task runs under the
+/// submitting thread's phase stack, so every sample on a worker is kept
+/// and lands in the submitter's phase.
+TEST(SampleProfiler, PoolTasksRunUnderSubmitterPhases) {
+  if (!SampleProfiler::platform_supported()) {
+    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+  }
+  constexpr std::uint32_t kTasks = 4;
+  sim::ParallelExecutor pool(kTasks);
+  std::atomic<std::uint32_t> started{0};
+  std::atomic<bool> done{false};
+  // The tasks spin until the profiler has stopped, so every sample is
+  // taken inside a task, never in the pool's dispatch path between tasks.
+  std::thread submitter([&] {
+    const PhaseScope phase("test.pool");
+    pool.run(kTasks, [&](std::uint32_t) {
+      started.fetch_add(1);
+      std::uint64_t acc = 1;
+      while (!done.load(std::memory_order_relaxed)) acc = acc * 3 + 1;
+      volatile std::uint64_t sink = acc;
+      (void)sink;
+    });
+  });
+  while (started.load() < kTasks) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const PhaseScope phase("test.pool");  // this thread sleeps meanwhile
+  SampleProfiler profiler;
+  ASSERT_TRUE(profiler.start());
+  std::this_thread::sleep_for(std::chrono::milliseconds(300));
+  profiler.stop();
+  done.store(true);
+  submitter.join();
+
+  EXPECT_GE(profiler.num_samples(), 5u);
+  EXPECT_EQ(profiler.dropped_samples(), 0u) << profiler.folded();
+  const auto totals = profiler.phase_totals();
+  ASSERT_EQ(totals.size(), 1u) << profiler.folded();
+  EXPECT_EQ(totals[0].first, "test.pool");
+}
+
+TEST(SampleProfiler, FoldedOutputRecordsDroppedSamples) {
+  if (!SampleProfiler::platform_supported()) {
+    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+  }
+  SampleProfiler profiler({.period_us = 1000, .max_samples_per_thread = 1});
+  ASSERT_TRUE(profiler.start());
+  {
+    const PhaseScope phase("test.drops");
+    volatile std::uint64_t sink = burn_cpu_ms(300);
+    (void)sink;
+  }
+  profiler.stop();
+  ASSERT_GT(profiler.dropped_samples(), 0u);  // a one-sample ring overflows
+  const std::string folded = profiler.folded();
+  EXPECT_EQ(folded.rfind(
+                "(dropped) " + std::to_string(profiler.dropped_samples()), 0),
+            0u)
+      << folded;
+  EXPECT_EQ(FoldedProfile::parse(folded).total_samples,
+            profiler.num_samples() + profiler.dropped_samples());
+  // The report's phase shares still cover kept samples only.
+  EXPECT_EQ(profiler.report_json().find("phases")->find(kDroppedFrame),
+            nullptr);
 }
 
 }  // namespace

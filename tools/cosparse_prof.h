@@ -32,7 +32,9 @@
 //   flame <profile.folded> [--out <flame.html>]
 //     renders a --cpu-profile folded-stack file (obs::SampleProfiler
 //     output) into a self-contained HTML/SVG flamegraph (default output:
-//     <profile.folded>.html) and prints the per-phase share table.
+//     <profile.folded>.html) and prints the per-phase share table. Shares
+//     cover every sample taken: a "(dropped)" row counts the samples the
+//     profiler lost, with a warning above 5 %.
 //
 //   flamediff <baseline.folded> <candidate.folded> [--max-regress 5%]
 //     compares per-phase sample shares of two folded profiles and exits
