@@ -15,6 +15,18 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/// Relaxed atomic load/store of a plain slot that other edge-map threads
+/// may CAS or write_min concurrently (a plain access would be a data race).
+template <class T>
+T load_relaxed(T& slot) {
+  return std::atomic_ref<T>(slot).load(std::memory_order_relaxed);
+}
+
+template <class T>
+void store_relaxed(T& slot, T value) {
+  std::atomic_ref<T>(slot).store(value, std::memory_order_relaxed);
+}
+
 /// Atomic compare-and-swap on a plain int64 slot (Ligra's CAS idiom).
 bool cas_i64(std::int64_t* slot, std::int64_t expected, std::int64_t desired) {
   std::atomic_ref<std::int64_t> ref(*slot);
@@ -51,7 +63,7 @@ LigraBfsResult ligra_bfs(const LigraGraph& g, Index source, unsigned threads) {
     std::int64_t* level;
     std::int64_t depth;
     bool update(Index u, Index v, Value) const {
-      if (parent[v] == -1) {
+      if (load_relaxed(parent[v]) == -1) {
         parent[v] = static_cast<std::int64_t>(u);
         level[v] = depth;
         return true;
@@ -65,7 +77,7 @@ LigraBfsResult ligra_bfs(const LigraGraph& g, Index source, unsigned threads) {
       }
       return false;
     }
-    bool cond(Index v) const { return parent[v] == -1; }
+    bool cond(Index v) const { return load_relaxed(parent[v]) == -1; }
   };
 
   EdgeMapOptions opts;
@@ -99,8 +111,11 @@ LigraSsspResult ligra_sssp(const LigraGraph& g, Index source,
     double* dist;
     std::uint8_t* joined;
     bool update(Index u, Index v, Value w) const {
-      if (dist[u] + w < dist[v]) {
-        dist[v] = dist[u] + w;
+      // Dense rounds: this thread owns v, but dist[u] is another
+      // thread's v, so both slots are read (and v written) atomically.
+      const double cand = load_relaxed(dist[u]) + w;
+      if (cand < load_relaxed(dist[v])) {
+        store_relaxed(dist[v], cand);
         if (!joined[v]) {
           joined[v] = 1;
           return true;
@@ -109,7 +124,7 @@ LigraSsspResult ligra_sssp(const LigraGraph& g, Index source,
       return false;
     }
     bool update_atomic(Index u, Index v, Value w) const {
-      if (write_min(&dist[v], dist[u] + w)) {
+      if (write_min(&dist[v], load_relaxed(dist[u]) + w)) {
         std::atomic_ref<std::uint8_t> flag(joined[v]);
         return flag.exchange(1, std::memory_order_relaxed) == 0;
       }
@@ -195,8 +210,9 @@ LigraCcResult ligra_cc(const LigraGraph& g, unsigned threads) {
     Index* comp;
     std::uint8_t* joined;
     bool update(Index u, Index v, Value) const {
-      if (comp[u] < comp[v]) {
-        comp[v] = comp[u];
+      const Index label = load_relaxed(comp[u]);
+      if (label < load_relaxed(comp[v])) {
+        store_relaxed(comp[v], label);
         if (!joined[v]) {
           joined[v] = 1;
           return true;
@@ -205,7 +221,7 @@ LigraCcResult ligra_cc(const LigraGraph& g, unsigned threads) {
       return false;
     }
     bool update_atomic(Index u, Index v, Value) const {
-      const Index label = comp[u];
+      const Index label = load_relaxed(comp[u]);
       std::atomic_ref<Index> ref(comp[v]);
       Index cur = ref.load(std::memory_order_relaxed);
       bool lowered = false;

@@ -91,6 +91,10 @@ BfsResult bfs(Engine& eng, Index source) {
   BfsResult res;
   res.level.assign(n, -1);
   res.level[source] = 0;
+  // Visited vertices, passed to spmv() as settled rows: the apply below
+  // reads only unvisited rows, so a native pull may skip the rest.
+  std::vector<std::uint8_t> visited(n, 0);
+  visited[source] = 1;
 
   SparseVector init(n);
   init.push_back(source, 0.0);
@@ -99,14 +103,15 @@ BfsResult bfs(Engine& eng, Index source) {
   const kernels::BfsSemiring sr;
   std::int64_t depth = 0;
   while (f.nnz() > 0) {
-    const auto out = eng.spmv(f, sr);
+    const auto out = eng.spmv(f, sr, nullptr, visited);
     ++depth;
     // Apply: unvisited touched vertices join the next frontier at `depth`.
     std::size_t added = 0;
     if (out.dense) {
       DenseFrontier next(n, sr.vector_identity());
       out.for_each_touched([&](Index v, Value) {
-        if (res.level[v] < 0) {
+        if (visited[v] == 0) {
+          visited[v] = 1;
           res.level[v] = depth;
           next.set(v, static_cast<Value>(depth));
           ++added;
@@ -117,7 +122,8 @@ BfsResult bfs(Engine& eng, Index source) {
     } else {
       SparseVector next(n);
       out.for_each_touched([&](Index v, Value) {
-        if (res.level[v] < 0) {
+        if (visited[v] == 0) {
+          visited[v] = 1;
           res.level[v] = depth;
           next.push_back(v, static_cast<Value>(depth));
           ++added;

@@ -102,6 +102,10 @@ class HostMachine {
     return std::numeric_limits<std::uint32_t>::max();
   }
 
+  /// Results only: a row the caller declared settled is never read, so
+  /// the pull kernel skips its elements (kernels/ip_spmv.h).
+  static constexpr bool kSkipsSettledRows = true;
+
  private:
   const sim::SystemConfig* cfg_;
   sim::HwConfig hw_;

@@ -1,6 +1,5 @@
 #include "native/simd.h"
 
-#include <cstdlib>
 #include <fstream>
 #include <string>
 
@@ -12,19 +11,9 @@ const char* to_string(SimdLevel level) {
 
 namespace {
 
-bool simd_disabled_by_env() {
-  // NOLINTNEXTLINE(concurrency-mt-unsafe): read once at first dispatch.
-  const char* env = std::getenv("COSPARSE_NATIVE_SIMD");
-  if (env == nullptr) return false;
-  const std::string v(env);
-  return v == "off" || v == "scalar" || v == "0";
-}
-
 SimdLevel detect() {
-#ifdef COSPARSE_HAVE_AVX2
-  if (!simd_disabled_by_env() && __builtin_cpu_supports("avx2")) {
-    return SimdLevel::kAvx2;
-  }
+#if defined(__x86_64__) || defined(__i386__)
+  if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
 #endif
   return SimdLevel::kScalar;
 }

@@ -1,11 +1,7 @@
-// Runtime SIMD capability detection for the native backend.
+// Host-capability provenance stamps for native and benchmark reports.
 //
-// The AVX2 pull-SpMV specialization (simd_avx2.cpp) is compiled into its
-// own translation unit with -mavx2 whenever the compiler supports the flag
-// (COSPARSE_HAVE_AVX2); whether it *runs* is decided here, once, from
-// CPUID — so one binary serves both old and new hosts, and CI can force
-// the scalar fallback on an AVX2 machine with COSPARSE_NATIVE_SIMD=off to
-// prove both paths produce identical bytes.
+// The native kernels are the portable templated loops only; these report
+// what the host CPU offers so a recorded measurement names its machine.
 #pragma once
 
 #include <cstdint>
@@ -14,16 +10,14 @@
 namespace cosparse::native {
 
 enum class SimdLevel : std::uint8_t {
-  kScalar,  ///< portable templated kernels only
-  kAvx2,    ///< AVX2 specialization eligible for the arithmetic semiring
+  kScalar,  ///< no AVX2 on this CPU
+  kAvx2,    ///< the CPU reports AVX2
 };
 
 [[nodiscard]] const char* to_string(SimdLevel level);
 
-/// The level native kernels dispatch on: kAvx2 iff the binary carries the
-/// AVX2 translation unit, the CPU reports the feature, and the
-/// COSPARSE_NATIVE_SIMD environment variable is not "off"/"scalar"/"0".
-/// Detected once (first call) and cached.
+/// The widest SIMD level the host CPU reports (CPUID), detected once and
+/// cached. A stamp only: no kernel dispatches on it.
 [[nodiscard]] SimdLevel simd_level();
 
 /// Human-readable CPU model ("model name" from /proc/cpuinfo, or "unknown")

@@ -2,20 +2,17 @@
 //
 // Both functions run the *same templated kernel loops* as the simulator,
 // instantiated with the charge-free HostMachine/NullAddressMap pair, so
-// outputs are bit-identical to sim mode by construction (DESIGN.md §14).
-// The pull path additionally dispatches to the AVX2 specialization for the
-// arithmetic semiring when the CPU supports it (native/simd.h); the
-// specialization is bit-identical too (only elementwise multiplies are
-// vectorized; reduction order is untouched).
+// outputs are bit-identical to sim mode by construction (DESIGN.md §14),
+// except in rows the caller declared settled, which the pull leaves at
+// reduce_identity and untouched.
 #pragma once
 
-#include <type_traits>
+#include <cstdint>
+#include <span>
 
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
 #include "native/host_machine.h"
-#include "native/simd.h"
-#include "native/simd_avx2.h"
 #include "obs/sampler.h"
 
 namespace cosparse::native {
@@ -23,20 +20,18 @@ namespace cosparse::native {
 /// Row-parallel pull SpMV over a dense frontier (IP dataflow). `hw`
 /// selects the layout semantics the caller already chose (SCS layouts are
 /// vblocked); `exec` (optional, not owned) parallelizes over tiles/PEs.
+/// `settled` (empty, or one byte per row) names rows whose elements are
+/// skipped because the caller never reads them.
 template <kernels::Semiring S>
 kernels::IpResult pull_spmv(const sim::SystemConfig& cfg, sim::HwConfig hw,
                             sim::ParallelExecutor* exec,
                             const kernels::IpPartitionedMatrix& A,
-                            const kernels::DenseFrontier& x, const S& sr) {
+                            const kernels::DenseFrontier& x, const S& sr,
+                            std::span<const std::uint8_t> settled = {}) {
   const obs::PhaseScope phase("native.kernel.pull");
-#ifdef COSPARSE_HAVE_AVX2
-  if constexpr (std::is_same_v<S, kernels::PlainSpmv>) {
-    if (simd_level() == SimdLevel::kAvx2) return avx2_pull_plain(A, x, exec);
-  }
-#endif
   HostMachine m(cfg, hw, exec);
   NullAddressMap amap;
-  return kernels::run_inner_product(m, amap, A, x, sr);
+  return kernels::run_inner_product(m, amap, A, x, sr, settled);
 }
 
 /// Push SpMSpV over a sparse frontier (OP dataflow): per-PE column merge

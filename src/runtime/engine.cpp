@@ -102,7 +102,13 @@ const sparse::SparseVector& Engine::stage_sparse(
   return staged_sparse_;
 }
 
-void Engine::check_frontier(const Frontier& f) const {
+void Engine::check_frontier(const Frontier& f,
+                            std::span<const std::uint8_t> settled) const {
+  if (!settled.empty() && settled.size() != dimension()) {
+    throw Error("spmv: settled mask has " + std::to_string(settled.size()) +
+                " rows; the engine's dimension is " +
+                std::to_string(dimension()));
+  }
   if (f.dense) {
     if (f.df.dimension() != dimension() ||
         f.df.active.size() != f.df.values.values().size()) {

@@ -19,6 +19,7 @@
 #include <chrono>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -201,10 +202,15 @@ class Engine {
          const sim::SystemConfig& cfg, EngineOptions opts = {});
 
   /// The per-iteration CoSPARSE SpMV (see file comment). `dst_old` supplies
-  /// V_dst for semirings with kUsesDst (CF).
+  /// V_dst for semirings with kUsesDst (CF). `settled` is empty or holds
+  /// one byte per row; a nonzero byte promises the caller will not read
+  /// that row of the output, so a native pull may leave it at
+  /// reduce_identity and untouched (DESIGN.md §14). Sim mode and push
+  /// kernels compute every row regardless.
   template <kernels::Semiring S>
   Output spmv(const Frontier& f, const S& sr,
-              const sparse::DenseVector* dst_old = nullptr);
+              const sparse::DenseVector* dst_old = nullptr,
+              std::span<const std::uint8_t> settled = {});
 
   /// Charges a data-parallel host-side vector pass (Table I Vector_Op /
   /// frontier apply) of `elements` items to the PEs: streaming reads and
@@ -277,9 +283,12 @@ class Engine {
   Decision resolve_decision(std::size_t frontier_nnz) const;
 
   /// Throws Error unless `f` has this engine's dimension (and, if dense,
-  /// one activity flag per value). Runs before anything is staged or
-  /// logged: the staging buffers have the engine's fixed size.
-  void check_frontier(const Frontier& f) const;
+  /// one activity flag per value) and `settled` is empty or has one byte
+  /// per row. Runs before anything is staged or logged: the staging
+  /// buffers have the engine's fixed size, and the kernel indexes the
+  /// mask by row.
+  void check_frontier(const Frontier& f,
+                      std::span<const std::uint8_t> settled) const;
 
   /// Publishes the finished iteration into the attached telemetry
   /// registry (no-op without one). Lives in engine.cpp so the template
@@ -291,7 +300,8 @@ class Engine {
   /// charge-free kernels, wall-clock-only observability.
   template <kernels::Semiring S>
   Output spmv_native(const Frontier& f, const S& sr,
-                     const sparse::DenseVector* dst_old);
+                     const sparse::DenseVector* dst_old,
+                     std::span<const std::uint8_t> settled);
 
   EngineOptions opts_;
   std::unique_ptr<sim::ParallelExecutor> owned_exec_;  ///< see sim_threads
@@ -328,10 +338,11 @@ class Engine {
 
 template <kernels::Semiring S>
 Engine::Output Engine::spmv(const Frontier& f, const S& sr,
-                            const sparse::DenseVector* dst_old) {
-  check_frontier(f);
+                            const sparse::DenseVector* dst_old,
+                            std::span<const std::uint8_t> settled) {
+  check_frontier(f, settled);
   if (opts_.exec_mode == native::ExecMode::kNative) {
-    return spmv_native(f, sr, dst_old);
+    return spmv_native(f, sr, dst_old, settled);
   }
   const obs::PhaseScope phase("engine.spmv");
   const auto wall_begin = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
@@ -371,7 +382,8 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.ip");
-        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr);
+        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
+                                            settled);
       }
     } else {
       const kernels::DenseFrontier& df =
@@ -380,7 +392,8 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
       kernel_begin = machine_.cycles();
       {
         const obs::PhaseScope kp("kernel.ip");
-        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr);
+        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
+                                            settled);
       }
     }
     kernel_end = machine_.cycles();
@@ -424,7 +437,8 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
 
 template <kernels::Semiring S>
 Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
-                                   const sparse::DenseVector* dst_old) {
+                                   const sparse::DenseVector* dst_old,
+                                   std::span<const std::uint8_t> settled) {
   const obs::PhaseScope phase("native.spmv");
   const auto wall_begin = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
 
@@ -467,7 +481,7 @@ Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
       rec.converted_frontier = true;
     }
     out.ip = native::pull_spmv(machine_.config(), native_hw_, exec_, layout,
-                               *df, sr);
+                               *df, sr, settled);
   } else {
     out.dense = false;
     const sparse::SparseVector* sv = nullptr;

@@ -150,6 +150,11 @@ class Machine {
     return modeled;
   }
 
+  /// The timed machine streams every element, settled rows included (see
+  /// kernels/ip_spmv.h): the modeled hardware has no settled mask, so the
+  /// event stream and cycles never depend on one.
+  static constexpr bool kSkipsSettledRows = false;
+
   // ---- reconfiguration (paper §III-D: LCP-triggered, <= 10 cycles) ----
   /// Global barrier, write-back flush of all dirty cache lines, the <= 10
   /// cycle mode switch, then the hierarchy is rebuilt cold in `next` mode.

@@ -1,5 +1,5 @@
-// Host thread pool for native kernels (native::HostMachine::for_tiles and
-// the AVX2 pull path) and for serve batches (serve::Server). The simulator
+// Host thread pool for native kernels (native::HostMachine::for_tiles) and
+// for serve batches (serve::Server). The simulator
 // (sim::Machine) is serial and never uses it.
 //
 // The executor is deliberately dumb: run(count, fn) hands the indices

@@ -78,22 +78,9 @@ kernels::OpResult sim_push(const kernels::OpStripedMatrix& striped,
   return kernels::run_outer_product(machine, amap, striped, x, nullptr, sr);
 }
 
-/// A pull through the shared kernel body on the host machine. Unlike
-/// native::pull_spmv it never dispatches to the AVX2 specialization, so the
-/// host schedule of the template is covered for every semiring.
-template <kernels::Semiring S>
-kernels::IpResult host_pull(const kernels::IpPartitionedMatrix& part,
-                            const DenseFrontier& x, sim::HwConfig hw,
-                            sim::ParallelExecutor* exec, const S& sr) {
-  native::HostMachine machine(kSys, hw, exec);
-  native::NullAddressMap amap;
-  return kernels::run_inner_product(machine, amap, part, x, sr);
-}
-
-/// Runs pull through sim and native — the dispatched entry point and the
-/// shared kernel body, each serially and on 1, 3 and 8 threads (3 splits
-/// the 4 tiles unevenly) — and checks every leg is bitwise identical to
-/// sim, returning the digest.
+/// Runs pull through sim and native — serially and on 1, 3 and 8 threads
+/// (3 splits the 4 tiles unevenly) — and checks every leg is bitwise
+/// identical to sim, returning the digest.
 template <kernels::Semiring S>
 std::string check_pull_part(const kernels::IpPartitionedMatrix& part,
                             const DenseFrontier& x, sim::HwConfig hw,
@@ -101,14 +88,10 @@ std::string check_pull_part(const kernels::IpPartitionedMatrix& part,
   const std::string sim = digest_ip(sim_pull(part, x, hw, sr));
   EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, nullptr, part, x, sr)))
       << "native serial pull diverged from sim";
-  EXPECT_EQ(sim, digest_ip(host_pull(part, x, hw, nullptr, sr)))
-      << "serial host kernel diverged from sim";
   for (const std::uint32_t threads : {1U, 3U, 8U}) {
     sim::ParallelExecutor exec(threads);
     EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, &exec, part, x, sr)))
         << "native " << threads << "-thread pull diverged from sim";
-    EXPECT_EQ(sim, digest_ip(host_pull(part, x, hw, &exec, sr)))
-        << threads << "-thread host kernel diverged from sim";
   }
   return sim;
 }
@@ -244,8 +227,7 @@ TEST(NativeKernels, PushMatchesSimAllHwConfigs) {
 
 TEST(NativeKernels, TropicalSemiringMatchesSimAndReference) {
   // min-plus: exercises non-arithmetic reduce identity (infinity) and the
-  // kUsesDst finalize path; also confirms the AVX2 dispatch leaves
-  // non-arithmetic semirings on the generic kernel.
+  // kUsesDst finalize path.
   const auto m =
       sparse::power_law(256, 256, 2048, 2.2, 9, sparse::ValueDist::kUniform01);
   const SsspSemiring sr;

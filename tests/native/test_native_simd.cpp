@@ -1,31 +1,15 @@
-// SIMD dispatch + exec-mode resolution tests. The AVX2 specialization is
-// only *used* behind a runtime CPUID check, but whenever this binary was
-// compiled with AVX2 support and runs on an AVX2 host, its output must be
-// bitwise identical to the always-compiled scalar path — the vectorization
-// touches only the elementwise products, never the reduction order.
+// Exec-mode resolution and the host-capability stamps native reports carry.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <string>
 
-#include "common/digest.h"
 #include "common/error.h"
-#include "kernels/frontier.h"
-#include "kernels/partition.h"
-#include "kernels/region_plan.h"
-#include "kernels/semiring.h"
 #include "native/exec_mode.h"
-#include "native/host_machine.h"
 #include "native/simd.h"
-#include "native/spmv.h"
-#include "sim/parallel.h"
-#include "sparse/generate.h"
 
 namespace cosparse {
 namespace {
-
-using kernels::DenseFrontier;
-using kernels::PlainSpmv;
 
 TEST(ExecMode, ParsesAndPrints) {
   EXPECT_EQ(native::exec_mode_from_string("sim"), native::ExecMode::kSim);
@@ -59,120 +43,6 @@ TEST(Simd, LevelAndModelStringsAreWellFormed) {
   EXPECT_STREQ(native::to_string(native::SimdLevel::kAvx2), "avx2");
   EXPECT_FALSE(native::cpu_model_string().empty());
 }
-
-#ifdef COSPARSE_HAVE_AVX2
-
-std::string digest_ip(const kernels::IpResult& r) {
-  Digest d;
-  d.update_u64(r.num_touched);
-  for (Index i = 0; i < r.y.dimension(); ++i) {
-    d.update_u64(r.touched[i]);
-    d.update_value(r.y[i]);
-  }
-  return d.hex();
-}
-
-/// Scalar leg: the generic templated kernel on the charge-free
-/// HostMachine — exactly what runs when COSPARSE_NATIVE_SIMD=off.
-kernels::IpResult scalar_pull(const kernels::IpPartitionedMatrix& part,
-                              const DenseFrontier& x,
-                              sim::ParallelExecutor* exec) {
-  const auto cfg = sim::SystemConfig::transmuter(4, 4);
-  native::HostMachine m(cfg, sim::HwConfig::kSC, exec);
-  native::NullAddressMap amap;
-  return kernels::run_inner_product(m, amap, part, x, PlainSpmv{});
-}
-
-class Avx2BitExact : public ::testing::Test {
- protected:
-  void SetUp() override {
-    if (native::simd_level() != native::SimdLevel::kAvx2) {
-      GTEST_SKIP() << "host CPU lacks AVX2 (or COSPARSE_NATIVE_SIMD=off)";
-    }
-  }
-};
-
-TEST_F(Avx2BitExact, MatchesScalarOnUniformMatrix) {
-  const auto cfg = sim::SystemConfig::transmuter(4, 4);
-  const auto m = sparse::uniform_random(500, 500, 8000, 31,
-                                        sparse::ValueDist::kUniform01);
-  for (const Index vblock : {Index{0}, kernels::default_vblock_cols(cfg)}) {
-    const auto part =
-        kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), vblock, true);
-    for (const double density : {0.05, 0.5, 1.0}) {
-      const auto x = DenseFrontier::from_sparse(
-          sparse::random_sparse_vector(500, density, 32),
-          PlainSpmv{}.vector_identity());
-      EXPECT_EQ(digest_ip(scalar_pull(part, x, nullptr)),
-                digest_ip(native::avx2_pull_plain(part, x, nullptr)))
-          << "vblock=" << vblock << " density=" << density;
-    }
-  }
-}
-
-TEST_F(Avx2BitExact, MatchesScalarOnPowerLawWithDuplicates) {
-  const auto cfg = sim::SystemConfig::transmuter(4, 4);
-  auto base = sparse::power_law(400, 400, 4800, 2.1, 41,
-                                sparse::ValueDist::kUniform01);
-  std::vector<sparse::Triplet> t(base.triplets().begin(),
-                                 base.triplets().end());
-  const std::size_t n = t.size();
-  for (std::size_t i = 0; i < n; i += 2) {
-    t.push_back({t[i].row, t[i].col, 1.0 / (1.0 + static_cast<double>(i))});
-  }
-  const sparse::Coo m(400, 400, std::move(t));
-  const auto part =
-      kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), 0, true);
-  const auto x = DenseFrontier::from_sparse(
-      sparse::random_sparse_vector(400, 0.4, 42),
-      PlainSpmv{}.vector_identity());
-  EXPECT_EQ(digest_ip(scalar_pull(part, x, nullptr)),
-            digest_ip(native::avx2_pull_plain(part, x, nullptr)));
-}
-
-TEST_F(Avx2BitExact, MatchesScalarUnderExecutor) {
-  const auto cfg = sim::SystemConfig::transmuter(4, 4);
-  const auto m = sparse::uniform_random(300, 300, 4500, 51,
-                                        sparse::ValueDist::kUniform01);
-  const auto part =
-      kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), 0, true);
-  const auto x = DenseFrontier::from_dense(
-      sparse::random_dense_vector(300, 52));
-  sim::ParallelExecutor exec(8);
-  const std::string serial_scalar = digest_ip(scalar_pull(part, x, nullptr));
-  EXPECT_EQ(serial_scalar, digest_ip(scalar_pull(part, x, &exec)));
-  EXPECT_EQ(serial_scalar,
-            digest_ip(native::avx2_pull_plain(part, x, nullptr)));
-  EXPECT_EQ(serial_scalar, digest_ip(native::avx2_pull_plain(part, x, &exec)));
-}
-
-TEST_F(Avx2BitExact, EmptyFrontierAndShortTails) {
-  // Exercise the 4-wide main loop's tail handling: tiny vblocks and rows
-  // with 1..3 elements, plus an all-inactive frontier (products must be
-  // discarded, never added — adding 0.0 would flip -0.0 results and
-  // corrupt touched bits).
-  const auto cfg = sim::SystemConfig::transmuter(4, 4);
-  std::vector<sparse::Triplet> t;
-  for (Index r = 0; r < 37; ++r) {
-    for (Index k = 0; k <= r % 5; ++k) {
-      t.push_back({r, static_cast<Index>((r + 11 * k) % 37),
-                   (k % 2 == 0 ? -0.0 : 1.25) + static_cast<double>(k)});
-    }
-  }
-  const sparse::Coo m(37, 37, std::move(t));
-  const auto part =
-      kernels::IpPartitionedMatrix::build(m, cfg.num_pes(), 8, true);
-  const DenseFrontier inactive(37, PlainSpmv{}.vector_identity());
-  EXPECT_EQ(digest_ip(scalar_pull(part, inactive, nullptr)),
-            digest_ip(native::avx2_pull_plain(part, inactive, nullptr)));
-  const auto half = DenseFrontier::from_sparse(
-      sparse::random_sparse_vector(37, 0.5, 53),
-      PlainSpmv{}.vector_identity());
-  EXPECT_EQ(digest_ip(scalar_pull(part, half, nullptr)),
-            digest_ip(native::avx2_pull_plain(part, half, nullptr)));
-}
-
-#endif  // COSPARSE_HAVE_AVX2
 
 }  // namespace
 }  // namespace cosparse

@@ -242,5 +242,44 @@ TEST(Engine, MismatchedFrontierThrowsAndLeavesEngineUntouched) {
   }
 }
 
+TEST(Engine, MismatchedSettledMaskThrowsAndLeavesEngineUntouched) {
+  // The pull kernel indexes the settled mask by row, so a short mask would
+  // be read out of bounds. spmv must reject any non-empty mask that is not
+  // one byte per row before staging or logging anything; an empty mask is
+  // "nothing settled".
+  constexpr Index kN = 100;
+  const Coo a = test_matrix(kN, 800);
+  const auto valid_sparse = Engine::Frontier::from_sparse(
+      sparse::random_sparse_vector(kN, 0.05, 41));
+  const auto dense = Engine::Frontier::from_dense(
+      DenseFrontier::from_sparse(sparse::random_sparse_vector(kN, 0.6, 42),
+                                 0.0));
+
+  for (const auto mode : {native::ExecMode::kSim, native::ExecMode::kNative}) {
+    SCOPED_TRACE(mode == native::ExecMode::kSim ? "sim" : "native");
+    EngineOptions opts;
+    opts.exec_mode = mode;
+    opts.sim_threads = 0;
+    Engine fresh(a, sim::SystemConfig::transmuter(2, 4), opts);
+    const std::string want_first =
+        outcome(fresh.spmv(valid_sparse, PlainSpmv{}), fresh);
+    const std::string want_second =
+        outcome(fresh.spmv(dense, PlainSpmv{}), fresh);
+
+    for (const std::size_t size : {std::size_t{kN - 1}, std::size_t{1},
+                                   std::size_t{kN + 1}}) {
+      SCOPED_TRACE("mask of " + std::to_string(size) + " rows");
+      const std::vector<std::uint8_t> mask(size, 1);
+      Engine eng(a, sim::SystemConfig::transmuter(2, 4), opts);
+      EXPECT_EQ(outcome(eng.spmv(valid_sparse, PlainSpmv{}), eng),
+                want_first);
+      EXPECT_THROW(eng.spmv(dense, PlainSpmv{}, nullptr, mask), Error);
+      EXPECT_EQ(eng.iterations().size(), 1U);
+      EXPECT_EQ(outcome(eng.spmv(dense, PlainSpmv{}, nullptr, {}), eng),
+                want_second);
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cosparse::runtime
