@@ -16,12 +16,14 @@
 
 #include "baselines/cpu_spmv.h"
 #include "common/rng.h"
+#include "graph/algorithms.h"
 #include "kernels/address_map.h"
 #include "kernels/frontier.h"
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
 #include "kernels/partition.h"
 #include "kernels/semiring.h"
+#include "native/host_machine.h"
 #include "native/spmv.h"
 #include "runtime/engine.h"
 #include "sim/machine.h"
@@ -295,35 +297,79 @@ BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC)
 BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS)
     ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
-void BM_NativePush(benchmark::State& state) {
-  // A BFS push from the 170 highest out-degree vertices.
+/// The push frontier with the most edges in a native BFS on the fixture
+/// from its 100th highest out-degree vertex (level 1: 1466 vertices,
+/// 461905 edges), valued as graph::bfs hands it to the engine.
+const sparse::SparseVector& bfs_push_frontier() {
+  static const sparse::SparseVector x = [] {
+    const auto& f = native_fixture();
+    const auto& deg = f.graph.out_degrees();
+    std::vector<Index> by_degree(deg.size());
+    for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
+    std::stable_sort(by_degree.begin(), by_degree.end(),
+                     [&](Index a, Index b) { return deg[a] > deg[b]; });
+    runtime::EngineOptions opts;
+    opts.exec_mode = native::ExecMode::kNative;
+    runtime::Engine eng(f.prepared, f.cfg, opts);
+    const auto res = graph::bfs(eng, by_degree[100]);
+    // Iteration i of a fresh engine's BFS pushes the level-i vertices.
+    const auto frontier = [&](std::int64_t level) {
+      sparse::SparseVector v(f.graph.num_vertices());
+      for (Index u = 0; u < v.dimension(); ++u) {
+        if (res.level[u] == level) v.push_back(u, static_cast<Value>(level));
+      }
+      return v;
+    };
+    const auto edges = [&](const sparse::SparseVector& v) {
+      std::int64_t n = 0;
+      for (const auto& e : v.entries()) n += deg[e.index];
+      return n;
+    };
+    sparse::SparseVector widest(f.graph.num_vertices());
+    for (const auto& rec : eng.iterations()) {
+      if (rec.sw != runtime::SwConfig::kOP) continue;
+      auto v = frontier(rec.index);
+      if (edges(v) > edges(widest)) widest = std::move(v);
+    }
+    return widest;
+  }();
+  return x;
+}
+
+/// BFS push of bfs_push_frontier(): `merge` runs the simulator's heap
+/// loop on the host machine (the native push before selecting reductions
+/// scattered), `scatter` the native entry point. Their ratio is the
+/// kernel-level gain of the scatter.
+void BM_NativePush(benchmark::State& state, bool scatter) {
   const auto& f = native_fixture();
+  const auto& x = bfs_push_frontier();
   const auto& deg = f.graph.out_degrees();
-  std::vector<Index> by_degree(deg.size());
-  for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
-  std::stable_sort(by_degree.begin(), by_degree.end(),
-                   [&](Index a, Index b) { return deg[a] > deg[b]; });
-  by_degree.resize(170);
-  std::sort(by_degree.begin(), by_degree.end());
-  sparse::SparseVector x(f.graph.num_vertices());
   std::int64_t edges = 0;
-  for (const Index v : by_degree) {
-    x.push_back(v, 0.0);
-    edges += deg[v];
-  }
+  for (const auto& e : x.entries()) edges += deg[e.index];
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   std::optional<sim::ParallelExecutor> exec;
   if (threads > 0) exec.emplace(threads);
+  sim::ParallelExecutor* pool = exec ? &*exec : nullptr;
+  const kernels::BfsSemiring sr;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(native::push_spmsv(
-        f.cfg, sim::HwConfig::kPC, exec ? &*exec : nullptr, f.prepared->op, x,
-        nullptr, kernels::BfsSemiring{}));
+    if (scatter) {
+      benchmark::DoNotOptimize(native::push_spmsv(
+          f.cfg, sim::HwConfig::kPC, pool, f.prepared->op, x, nullptr, sr));
+    } else {
+      native::HostMachine m(f.cfg, sim::HwConfig::kPC, pool);
+      native::NullAddressMap amap;
+      benchmark::DoNotOptimize(kernels::run_outer_product(
+          m, amap, f.prepared->op, x, nullptr, sr));
+    }
   }
+  state.counters["frontier"] = static_cast<double>(x.nnz());
   state.counters["edges"] = static_cast<double>(edges);
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           edges);
 }
-BENCHMARK(BM_NativePush)
+BENCHMARK_CAPTURE(BM_NativePush, merge, false)
+    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePush, scatter, true)
     ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -22,6 +22,10 @@
 // §III-C.3 describes. Heaps and emitted lists are per PE and the LCP merge
 // runs after them, so the burst length (the machine's pe_burst(); host PEs
 // run to completion) orders charges, never results.
+//
+// The native backend runs this loop only for non-selecting (summing)
+// semirings; a selecting reduction's push scatters instead
+// (native::push_spmsv, DESIGN.md §14 item 7).
 #pragma once
 
 #include <utility>
@@ -51,7 +55,7 @@ inline constexpr std::uint32_t kOpInterleavePops = 16;
 
 // Templated over the machine/address-map pair for the same reason as
 // run_inner_product: the native backend re-runs this exact loop with no-op
-// charges (DESIGN.md §14).
+// charges for summing semirings (DESIGN.md §14).
 template <Semiring S, class Machine = sim::Machine, class AMap = AddressMap>
 OpResult run_outer_product(Machine& m, AMap& amap,
                            const OpStripedMatrix& A,

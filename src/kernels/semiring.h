@@ -9,6 +9,13 @@
 //
 // `vector_identity` marks an *inactive* element in the dense frontier
 // encoding, and `reduce_identity` initializes accumulators.
+//
+// `kReduceSelects` states that `reduce(a, b)` always returns one of its two
+// arguments (min, max), so for values without NaN that never mix +0 and -0
+// a row's result does not depend on the order its contributions arrive in.
+// The native push relies on it to scatter instead of merging (DESIGN.md
+// §14); summing semirings set it false, because float addition rounds
+// differently in a different order.
 #pragma once
 
 #include <concepts>
@@ -27,6 +34,7 @@ concept Semiring = requires(const S s, Value a, Value x, Value d) {
   { s.reduce(x, d) } -> std::convertible_to<Value>;
   { s.finalize(x, d) } -> std::convertible_to<Value>;
   { S::kUsesDst } -> std::convertible_to<bool>;
+  { S::kReduceSelects } -> std::convertible_to<bool>;
   { S::kEdgeOps } -> std::convertible_to<std::uint32_t>;
 };
 
@@ -35,6 +43,7 @@ inline constexpr Value kInf = std::numeric_limits<Value>::infinity();
 /// Plain SpMV: Matrix_Op = sum(Sp[src,dst] * V[src]).
 struct PlainSpmv {
   static constexpr bool kUsesDst = false;
+  static constexpr bool kReduceSelects = false;
   static constexpr std::uint32_t kEdgeOps = 1;  ///< one MAC
   Value vector_identity() const { return 0; }
   Value reduce_identity() const { return 0; }
@@ -47,6 +56,7 @@ struct PlainSpmv {
 /// (the graph layer stores level/parent information in the labels).
 struct BfsSemiring {
   static constexpr bool kUsesDst = false;
+  static constexpr bool kReduceSelects = true;
   static constexpr std::uint32_t kEdgeOps = 1;
   Value vector_identity() const { return kInf; }
   Value reduce_identity() const { return kInf; }
@@ -59,6 +69,7 @@ struct BfsSemiring {
 /// part of Table I is the algorithm layer's apply step.
 struct SsspSemiring {
   static constexpr bool kUsesDst = false;
+  static constexpr bool kReduceSelects = true;
   static constexpr std::uint32_t kEdgeOps = 2;  ///< add + compare
   Value vector_identity() const { return kInf; }
   Value reduce_identity() const { return kInf; }
@@ -73,6 +84,7 @@ struct SsspSemiring {
 /// contributions; Vector_Op = alpha + (1 - alpha) * y runs afterwards.
 struct PageRankSemiring {
   static constexpr bool kUsesDst = false;
+  static constexpr bool kReduceSelects = false;
   static constexpr std::uint32_t kEdgeOps = 1;
   Value vector_identity() const { return 0; }
   Value reduce_identity() const { return 0; }
@@ -86,6 +98,7 @@ struct PageRankSemiring {
 /// Vector_Op = beta * y + V[dst] runs in the algorithm layer.
 struct CfSemiring {
   static constexpr bool kUsesDst = true;
+  static constexpr bool kReduceSelects = false;
   static constexpr std::uint32_t kEdgeOps = 3;  ///< mul, sub, mac
   double lambda = 0.05;
 

@@ -4,11 +4,17 @@
 // instantiated with the charge-free HostMachine/NullAddressMap pair, so
 // outputs are bit-identical to sim mode by construction (DESIGN.md §14),
 // except in rows the caller declared settled, which the pull leaves at
-// reduce_identity and untouched.
+// reduce_identity and untouched. The one native-only loop is the push of
+// a selecting reduction (min), which scatters into a dense per-stripe
+// accumulator instead of replaying the modeled heap merge: its result
+// does not depend on the order a row's contributions arrive in.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <span>
+#include <vector>
 
 #include "kernels/ip_spmv.h"
 #include "kernels/op_spmv.h"
@@ -16,6 +22,62 @@
 #include "obs/sampler.h"
 
 namespace cosparse::native {
+namespace detail {
+
+/// One tile of the push for a selecting reduction: folds every element of
+/// x's columns in the stripe into its row's accumulator, then returns the
+/// hit rows ascending, finalized. Equal to run_outer_product's tile bits
+/// for values without NaN that never mix +0 and -0 (DESIGN.md §14 item 7).
+template <kernels::Semiring S>
+std::vector<sparse::VectorEntry> scatter_stripe(
+    const kernels::OpStripedMatrix::TileStripe& stripe,
+    const sparse::SparseVector& x, const S& sr) {
+  const Index base = stripe.row_begin;
+  const std::size_t n = stripe.row_end - base;
+  // Only the hit flags are zeroed: an accumulator is read after its row's
+  // first hit, and `rows` (one spare slot for the branch-free append)
+  // only below `hits`, so a push touches the pages of the rows it hits.
+  const auto acc_buf = std::make_unique_for_overwrite<Value[]>(n);
+  const auto hit_buf = std::make_unique<std::uint8_t[]>(n);
+  const auto rows_buf = std::make_unique_for_overwrite<Index[]>(n + 1);
+  Value* acc = acc_buf.get();
+  std::uint8_t* hit = hit_buf.get();
+  Index* rows = rows_buf.get();
+  const Value identity = sr.reduce_identity();
+  std::size_t hits = 0;
+  for (const sparse::VectorEntry& e : x.entries()) {
+    const Offset end = stripe.col_end(e.index);
+    for (Offset k = stripe.col_begin(e.index); k < end; ++k) {
+      const auto& el = stripe.elems[k];
+      const Index r = el.row - base;
+      // A first hit folds into the identity: picks, not branches, because
+      // whether a row was hit before is as unpredictable as the row.
+      const std::uint8_t seen = hit[r];
+      const Value* pick[2] = {&identity, &acc[r]};
+      acc[r] = sr.reduce(*pick[seen], sr.edge(el.value, e.value, Value{0}));
+      rows[hits] = r;
+      hits += seen ^ 1U;
+      hit[r] = 1;
+    }
+  }
+  // Few hits sort; many walk the flags.
+  if (hits * 32 < n) {
+    std::sort(rows, rows + hits);
+  } else {
+    std::size_t j = 0;
+    for (Index r = 0; r < n; ++r) {
+      if (hit[r] != 0) rows[j++] = r;
+    }
+  }
+  std::vector<sparse::VectorEntry> out;
+  out.reserve(hits);
+  for (std::size_t i = 0; i < hits; ++i) {
+    out.push_back({base + rows[i], sr.finalize(acc[rows[i]], Value{0})});
+  }
+  return out;
+}
+
+}  // namespace detail
 
 /// Row-parallel pull SpMV over a dense frontier (IP dataflow). `hw`
 /// selects the layout semantics the caller already chose (SCS layouts are
@@ -34,8 +96,10 @@ kernels::IpResult pull_spmv(const sim::SystemConfig& cfg, sim::HwConfig hw,
   return kernels::run_inner_product(m, amap, A, x, sr, settled);
 }
 
-/// Push SpMSpV over a sparse frontier (OP dataflow): per-PE column merge
-/// with thread-local accumulators, merged per tile in row order.
+/// Push SpMSpV over a sparse frontier (OP dataflow), one task per tile
+/// stripe. A selecting reduction scatters into the stripe's dense
+/// accumulator; every other semiring runs the simulator's per-PE heap
+/// merge, combined per tile in row order.
 template <kernels::Semiring S>
 kernels::OpResult push_spmsv(const sim::SystemConfig& cfg, sim::HwConfig hw,
                              sim::ParallelExecutor* exec,
@@ -45,8 +109,33 @@ kernels::OpResult push_spmsv(const sim::SystemConfig& cfg, sim::HwConfig hw,
                              const S& sr) {
   const obs::PhaseScope phase("native.kernel.push");
   HostMachine m(cfg, hw, exec);
-  NullAddressMap amap;
-  return kernels::run_outer_product(m, amap, A, x, x_dst_old, sr);
+  if constexpr (S::kReduceSelects && !S::kUsesDst) {
+    COSPARSE_CHECK_MSG(A.cols() == x.dimension(),
+                       "OP: matrix/vector dimension mismatch");
+    const auto& stripes = A.stripes();
+    COSPARSE_CHECK_MSG(stripes.size() == m.num_tiles(),
+                       "OP stripe count does not match machine tiles");
+    // Stripes are ascending disjoint row ranges, so tile order keeps y
+    // sorted.
+    std::vector<std::vector<sparse::VectorEntry>> tile_rows(m.num_tiles());
+    m.for_tiles([&](std::uint32_t tile) {
+      tile_rows[tile] = detail::scatter_stripe(stripes[tile], x, sr);
+    });
+    std::size_t total = 0;
+    for (const auto& rows : tile_rows) total += rows.size();
+    kernels::OpResult out;
+    out.y = sparse::SparseVector(A.rows());
+    out.y.reserve(total);
+    for (const auto& rows : tile_rows) {
+      for (const sparse::VectorEntry& e : rows) {
+        out.y.push_back(e.index, e.value);
+      }
+    }
+    return out;
+  } else {
+    NullAddressMap amap;
+    return kernels::run_outer_product(m, amap, A, x, x_dst_old, sr);
+  }
 }
 
 }  // namespace cosparse::native

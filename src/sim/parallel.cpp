@@ -50,14 +50,17 @@ void ParallelExecutor::worker() {
     work_cv_.wait(lk,
                   [&] { return stop_ || (job_ != nullptr && next_ < count_); });
     if (stop_) return;
+    // The submitter's tags cover the whole drain — picks, the mutex and
+    // the completion count as well as the tasks — and end before the
+    // worker waits again. One job lasts the drain: run() cannot return
+    // while this worker's task is pending.
+    const obs::PhaseScope scope(job_phases_);
     while (job_ != nullptr && next_ < count_) {
       const std::uint32_t i = next_++;
       const auto* fn = job_;
-      const obs::PhaseStack phases = job_phases_;
       lk.unlock();
       std::exception_ptr err;
       try {
-        const obs::PhaseScope scope(phases);
         (*fn)(i);
       } catch (...) {
         err = std::current_exception();

@@ -2,6 +2,7 @@
 // validated against.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <queue>
@@ -57,6 +58,36 @@ inline std::vector<double> reference_sssp(const sparse::Coo& adj,
     }
   }
   return dist;
+}
+
+/// Connected components of a symmetric adjacency by union-find; each
+/// vertex is labeled with its component's smallest vertex id.
+inline std::vector<Index> reference_cc(const sparse::Coo& sym) {
+  std::vector<Index> parent(sym.rows());
+  for (Index v = 0; v < sym.rows(); ++v) parent[v] = v;
+  const auto find = [&](Index v) {
+    while (parent[v] != v) {
+      parent[v] = parent[parent[v]];
+      v = parent[v];
+    }
+    return v;
+  };
+  for (const auto& t : sym.triplets()) {
+    const Index a = find(t.row), b = find(t.col);
+    if (a != b) parent[std::max(a, b)] = std::min(a, b);
+  }
+  // Normalize every vertex to its component's minimum id.
+  std::vector<Index> label(sym.rows());
+  for (Index v = 0; v < sym.rows(); ++v) label[v] = find(v);
+  // find() with min-union keeps the root the minimum of the merged pair,
+  // but path orders can leave a non-minimal root; fix by one more sweep.
+  std::vector<Index> min_of_root(sym.rows());
+  for (Index v = 0; v < sym.rows(); ++v) min_of_root[v] = v;
+  for (Index v = 0; v < sym.rows(); ++v) {
+    min_of_root[label[v]] = std::min(min_of_root[label[v]], v);
+  }
+  for (Index v = 0; v < sym.rows(); ++v) label[v] = min_of_root[label[v]];
+  return label;
 }
 
 /// Dense power-iteration PageRank (same update rule as Table I).

@@ -2,6 +2,7 @@
 
 #include "baselines/ligra/apps.h"
 #include "graph/algorithms.h"
+#include "host_reference.h"
 #include "sparse/datasets.h"
 #include "sparse/generate.h"
 
@@ -10,35 +11,7 @@ namespace {
 
 using runtime::Engine;
 using sparse::Coo;
-
-/// Union-find reference.
-std::vector<Index> reference_cc(const Coo& sym) {
-  std::vector<Index> parent(sym.rows());
-  for (Index v = 0; v < sym.rows(); ++v) parent[v] = v;
-  std::function<Index(Index)> find = [&](Index v) {
-    while (parent[v] != v) {
-      parent[v] = parent[parent[v]];
-      v = parent[v];
-    }
-    return v;
-  };
-  for (const auto& t : sym.triplets()) {
-    const Index a = find(t.row), b = find(t.col);
-    if (a != b) parent[std::max(a, b)] = std::min(a, b);
-  }
-  // Normalize every vertex to its component's minimum id.
-  std::vector<Index> label(sym.rows());
-  for (Index v = 0; v < sym.rows(); ++v) label[v] = find(v);
-  // find() with min-union keeps the root the minimum of the merged pair,
-  // but path orders can leave a non-minimal root; fix by one more sweep.
-  std::vector<Index> min_of_root(sym.rows());
-  for (Index v = 0; v < sym.rows(); ++v) min_of_root[v] = v;
-  for (Index v = 0; v < sym.rows(); ++v) {
-    min_of_root[label[v]] = std::min(min_of_root[label[v]], v);
-  }
-  for (Index v = 0; v < sym.rows(); ++v) label[v] = min_of_root[label[v]];
-  return label;
-}
+using testing::reference_cc;
 
 TEST(ConnectedComponents, MatchesUnionFindOnRandomGraph) {
   // Sparse enough to have several components.

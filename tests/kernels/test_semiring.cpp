@@ -3,7 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <vector>
 
 namespace cosparse::kernels {
 namespace {
@@ -68,6 +73,69 @@ TEST(CfSemiring, GradientDirectionReducesError) {
   const double before = (r - u * v) * (r - u * v);
   const double after = (r - u * v2) * (r - u * v2);
   EXPECT_LT(after, before);
+}
+
+/// Folds `values` from the reduce identity, in order.
+template <Semiring S>
+std::uint64_t fold_bits(const S& s, const std::vector<Value>& values) {
+  Value acc = s.reduce_identity();
+  for (const Value v : values) acc = s.reduce(acc, v);
+  return std::bit_cast<std::uint64_t>(acc);
+}
+
+/// Non-negative values, finite or +inf, with +0 and repeats: the domain
+/// the native push's scatter assumes of a selecting reduction.
+std::vector<Value> selecting_domain(std::mt19937_64& rng, std::size_t n) {
+  std::uniform_real_distribution<Value> real(0.0, 1e6);
+  std::vector<Value> v(n);
+  for (Value& x : v) {
+    switch (rng() % 5) {
+      case 0: x = kInf; break;
+      case 1: x = 0.0; break;
+      case 2: x = static_cast<Value>(rng() % 8); break;
+      default: x = real(rng);
+    }
+  }
+  return v;
+}
+
+template <Semiring S>
+void check_selects(const S& s) {
+  static_assert(S::kReduceSelects);
+  std::mt19937_64 rng(7);
+  for (int i = 0; i < 2000; ++i) {
+    const auto ab = selecting_domain(rng, 2);
+    const auto r = std::bit_cast<std::uint64_t>(s.reduce(ab[0], ab[1]));
+    EXPECT_TRUE(r == std::bit_cast<std::uint64_t>(ab[0]) ||
+                r == std::bit_cast<std::uint64_t>(ab[1]))
+        << ab[0] << " , " << ab[1];
+  }
+  for (int i = 0; i < 50; ++i) {
+    auto values = selecting_domain(rng, 1 + rng() % 40);
+    const std::uint64_t want = fold_bits(s, values);
+    for (int shuffle = 0; shuffle < 20; ++shuffle) {
+      std::shuffle(values.begin(), values.end(), rng);
+      EXPECT_EQ(fold_bits(s, values), want);
+    }
+  }
+}
+
+TEST(SemiringTraits, SelectingReductionsReturnAnArgumentInAnyOrder) {
+  check_selects(BfsSemiring{});
+  check_selects(SsspSemiring{});
+}
+
+TEST(SemiringTraits, SummingReductionsDependOnOrder) {
+  // 1e16 + 1 rounds back to 1e16 (the ulp there is 2), while 1 + 1 + 1e16
+  // keeps the 2: a merge order is part of a sum's bits.
+  static_assert(!PlainSpmv::kReduceSelects);
+  static_assert(!PageRankSemiring::kReduceSelects);
+  static_assert(!CfSemiring::kReduceSelects);
+  const std::vector<Value> big_first = {1e16, 1.0, 1.0};
+  const std::vector<Value> big_last = {1.0, 1.0, 1e16};
+  EXPECT_NE(fold_bits(PlainSpmv{}, big_first), fold_bits(PlainSpmv{}, big_last));
+  EXPECT_NE(fold_bits(PageRankSemiring{}, big_first),
+            fold_bits(PageRankSemiring{}, big_last));
 }
 
 TEST(Semirings, SatisfyConcept) {
