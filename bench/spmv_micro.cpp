@@ -293,9 +293,11 @@ void BM_NativePull(benchmark::State& state, sim::HwConfig hw) {
                           static_cast<std::int64_t>(layout.nnz()));
 }
 BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC)
-    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS)
-    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// The push frontier with the most edges in a native BFS on the fixture
 /// from its 100th highest out-degree vertex (level 1: 1466 vertices,
@@ -368,9 +370,11 @@ void BM_NativePush(benchmark::State& state, bool scatter) {
                           edges);
 }
 BENCHMARK_CAPTURE(BM_NativePush, merge, false)
-    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_NativePush, scatter, true)
-    ->ArgName("threads")->Arg(1)->Arg(4)->Unit(benchmark::kMillisecond);
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -53,6 +53,33 @@ inline constexpr std::uint32_t kColPtrBytes = 16;   ///< begin+end offsets
 /// its tile.
 inline constexpr std::uint32_t kOpInterleavePops = 16;
 
+/// Checks x against A and a machine of `num_tiles` tiles; returns A's
+/// stripes, one per tile.
+inline const std::vector<OpStripedMatrix::TileStripe>& op_stripes(
+    const OpStripedMatrix& A, const sparse::SparseVector& x,
+    std::uint32_t num_tiles) {
+  COSPARSE_CHECK_MSG(A.cols() == x.dimension(),
+                     "OP: matrix/vector dimension mismatch");
+  COSPARSE_CHECK_MSG(A.stripes().size() == num_tiles,
+                     "OP stripe count does not match machine tiles");
+  return A.stripes();
+}
+
+/// Concatenates per-tile finished rows in tile order: stripes are
+/// ascending disjoint row ranges, so y stays sorted.
+inline sparse::SparseVector join_tile_rows(
+    Index rows,
+    const std::vector<std::vector<sparse::VectorEntry>>& tile_rows) {
+  std::size_t total = 0;
+  for (const auto& t : tile_rows) total += t.size();
+  sparse::SparseVector y(rows);
+  y.reserve(total);
+  for (const auto& t : tile_rows) {
+    for (const sparse::VectorEntry& e : t) y.push_back(e.index, e.value);
+  }
+  return y;
+}
+
 // Templated over the machine/address-map pair for the same reason as
 // run_inner_product: the native backend re-runs this exact loop with no-op
 // charges for summing semirings (DESIGN.md §14).
@@ -61,8 +88,7 @@ OpResult run_outer_product(Machine& m, AMap& amap,
                            const OpStripedMatrix& A,
                            const sparse::SparseVector& x,
                            const sparse::DenseVector* x_dst_old, const S& sr) {
-  COSPARSE_CHECK_MSG(A.cols() == x.dimension(),
-                     "OP: matrix/vector dimension mismatch");
+  const auto& stripes = op_stripes(A, x, m.num_tiles());
   if constexpr (S::kUsesDst) {
     COSPARSE_CHECK_MSG(x_dst_old != nullptr &&
                            x_dst_old->dimension() == A.rows(),
@@ -70,12 +96,6 @@ OpResult run_outer_product(Machine& m, AMap& amap,
   }
   const bool ps = m.hw() == sim::HwConfig::kPS;
   const std::size_t spm_per_pe = m.spm_bytes_per_pe();
-
-  OpResult out;
-  out.y = sparse::SparseVector(A.rows());
-  const auto& stripes = A.stripes();
-  COSPARSE_CHECK_MSG(stripes.size() == m.num_tiles(),
-                     "OP stripe count does not match machine tiles");
 
   // Empty frontiers/stripes have no bytes to place (and issue no
   // accesses); AddressMap::of rejects zero-sized regions.
@@ -128,8 +148,7 @@ OpResult run_outer_product(Machine& m, AMap& amap,
         static_cast<std::size_t>(P) * (chunk + 1) * kHeapNodeBytes, "op.heap");
   }
 
-  // Per-tile finished rows; concatenated in tile order below (stripes are
-  // ascending disjoint row ranges, so concatenation keeps y sorted).
+  // Per-tile finished rows, joined in tile order below.
   std::vector<std::vector<sparse::VectorEntry>> tile_rows(m.num_tiles());
   const std::uint32_t burst = m.pe_burst(kOpInterleavePops);
 
@@ -315,9 +334,7 @@ OpResult run_outer_product(Machine& m, AMap& amap,
     m.tile_barrier(tile);
   });
 
-  for (const auto& rows : tile_rows) {
-    for (const sparse::VectorEntry& e : rows) out.y.push_back(e.index, e.value);
-  }
+  OpResult out{join_tile_rows(A.rows(), tile_rows)};
   m.global_barrier();
   return out;
 }

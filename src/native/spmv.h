@@ -10,7 +10,7 @@
 // does not depend on the order a row's contributions arrive in.
 #pragma once
 
-#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -34,45 +34,39 @@ std::vector<sparse::VectorEntry> scatter_stripe(
     const sparse::SparseVector& x, const S& sr) {
   const Index base = stripe.row_begin;
   const std::size_t n = stripe.row_end - base;
-  // Only the hit flags are zeroed: an accumulator is read after its row's
-  // first hit, and `rows` (one spare slot for the branch-free append)
-  // only below `hits`, so a push touches the pages of the rows it hits.
+  // One hit bit per row, and only the bits are zeroed: an accumulator is
+  // read only after its row's first hit.
+  const std::size_t words = (n + 63) / 64;
   const auto acc_buf = std::make_unique_for_overwrite<Value[]>(n);
-  const auto hit_buf = std::make_unique<std::uint8_t[]>(n);
-  const auto rows_buf = std::make_unique_for_overwrite<Index[]>(n + 1);
+  const auto hit_buf = std::make_unique<std::uint64_t[]>(words);
   Value* acc = acc_buf.get();
-  std::uint8_t* hit = hit_buf.get();
-  Index* rows = rows_buf.get();
+  std::uint64_t* hit = hit_buf.get();
   const Value identity = sr.reduce_identity();
-  std::size_t hits = 0;
   for (const sparse::VectorEntry& e : x.entries()) {
     const Offset end = stripe.col_end(e.index);
     for (Offset k = stripe.col_begin(e.index); k < end; ++k) {
       const auto& el = stripe.elems[k];
       const Index r = el.row - base;
+      std::uint64_t& word = hit[r / 64];
       // A first hit folds into the identity: picks, not branches, because
       // whether a row was hit before is as unpredictable as the row.
-      const std::uint8_t seen = hit[r];
       const Value* pick[2] = {&identity, &acc[r]};
-      acc[r] = sr.reduce(*pick[seen], sr.edge(el.value, e.value, Value{0}));
-      rows[hits] = r;
-      hits += seen ^ 1U;
-      hit[r] = 1;
+      acc[r] = sr.reduce(*pick[(word >> (r % 64)) & 1U],
+                         sr.edge(el.value, e.value, Value{0}));
+      word |= std::uint64_t{1} << (r % 64);
     }
   }
-  // Few hits sort; many walk the flags.
-  if (hits * 32 < n) {
-    std::sort(rows, rows + hits);
-  } else {
-    std::size_t j = 0;
-    for (Index r = 0; r < n; ++r) {
-      if (hit[r] != 0) rows[j++] = r;
-    }
-  }
+  // The set bits, word by word, are the hit rows ascending.
+  std::size_t hits = 0;
+  for (std::size_t w = 0; w < words; ++w) hits += static_cast<unsigned>(std::popcount(hit[w]));
   std::vector<sparse::VectorEntry> out;
   out.reserve(hits);
-  for (std::size_t i = 0; i < hits; ++i) {
-    out.push_back({base + rows[i], sr.finalize(acc[rows[i]], Value{0})});
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = hit[w]; bits != 0; bits &= bits - 1) {
+      const auto r = static_cast<Index>(
+          w * 64 + static_cast<unsigned>(std::countr_zero(bits)));
+      out.push_back({base + r, sr.finalize(acc[r], Value{0})});
+    }
   }
   return out;
 }
@@ -110,28 +104,12 @@ kernels::OpResult push_spmsv(const sim::SystemConfig& cfg, sim::HwConfig hw,
   const obs::PhaseScope phase("native.kernel.push");
   HostMachine m(cfg, hw, exec);
   if constexpr (S::kReduceSelects && !S::kUsesDst) {
-    COSPARSE_CHECK_MSG(A.cols() == x.dimension(),
-                       "OP: matrix/vector dimension mismatch");
-    const auto& stripes = A.stripes();
-    COSPARSE_CHECK_MSG(stripes.size() == m.num_tiles(),
-                       "OP stripe count does not match machine tiles");
-    // Stripes are ascending disjoint row ranges, so tile order keeps y
-    // sorted.
+    const auto& stripes = kernels::op_stripes(A, x, m.num_tiles());
     std::vector<std::vector<sparse::VectorEntry>> tile_rows(m.num_tiles());
     m.for_tiles([&](std::uint32_t tile) {
       tile_rows[tile] = detail::scatter_stripe(stripes[tile], x, sr);
     });
-    std::size_t total = 0;
-    for (const auto& rows : tile_rows) total += rows.size();
-    kernels::OpResult out;
-    out.y = sparse::SparseVector(A.rows());
-    out.y.reserve(total);
-    for (const auto& rows : tile_rows) {
-      for (const sparse::VectorEntry& e : rows) {
-        out.y.push_back(e.index, e.value);
-      }
-    }
-    return out;
+    return {kernels::join_tile_rows(A.rows(), tile_rows)};
   } else {
     NullAddressMap amap;
     return kernels::run_outer_product(m, amap, A, x, x_dst_old, sr);
