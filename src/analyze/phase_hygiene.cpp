@@ -5,9 +5,8 @@
 // every AddressMap region label comes from the canonical registries
 // (registry.cpp). A typo'd tag silently forks a new flame bucket and
 // breaks `cosparse-prof diff` baselines, so unregistered literals are
-// errors, not warnings. Non-literal arguments (the interned
-// "graph.<algo>" tags are built at run time) are skipped — the prefix
-// registry covers those.
+// errors, not warnings. Tags built at run time (the interned
+// "graph.<algo>" tags) are skipped — the prefix registry covers those.
 #include <string>
 
 #include "analyze/pass_util.h"
@@ -61,20 +60,28 @@ std::vector<verify::Finding> check_phase_hygiene(
       if (s == "PhaseScope" || s == "intern_phase_tag") {
         // Covers both the declaration form `PhaseScope phase("tag")`
         // and the call form `intern_phase_tag("tag")` — one optional
-        // identifier (the variable name) before the paren. Tag is the
-        // first argument when it is a literal; expressions (interned
-        // graph.<algo> tags) are covered by the prefix registry.
+        // identifier (the variable name) before the paren. Every literal
+        // at the argument list's top level is a tag, so both arms of
+        // `native ? "a" : "b"` are checked; literals nested in calls
+        // (interned graph.<algo> tags) are covered by the prefix registry.
         std::size_t j = i + 1;
         if (j < t.size() && t[j].kind == TokKind::kIdent) ++j;
         if (!is_punct(t, j, "(")) continue;
-        if (j + 1 < t.size() && t[j + 1].kind == TokKind::kString &&
-            !is_canonical_phase_tag(t[j + 1].text)) {
-          detail::emit(out, *file, t[j + 1].line, kPass,
-                       "phase.unregistered-tag", Severity::kError,
-                       "phase tag \"" + t[j + 1].text +
-                           "\" is not in the canonical registry "
-                           "(src/analyze/registry.cpp); known tags: " +
-                           registry_hint(canonical_phase_tags()));
+        const std::size_t close = match_paren(t, j);
+        if (close == kNpos) continue;
+        int depth = 0;
+        for (std::size_t k = j + 1; k < close; ++k) {
+          if (is_punct(t, k, "(")) ++depth;
+          if (is_punct(t, k, ")")) --depth;
+          if (depth == 0 && t[k].kind == TokKind::kString &&
+              !is_canonical_phase_tag(t[k].text)) {
+            detail::emit(out, *file, t[k].line, kPass,
+                         "phase.unregistered-tag", Severity::kError,
+                         "phase tag \"" + t[k].text +
+                             "\" is not in the canonical registry "
+                             "(src/analyze/registry.cpp); known tags: " +
+                             registry_hint(canonical_phase_tags()));
+          }
         }
       } else if ((s == "of" || s == "alloc") && is_punct(t, i + 1, "(") &&
                  i >= 1 &&

@@ -8,11 +8,11 @@ const std::vector<std::string_view>& canonical_phase_tags() {
   // Keep in sync with DESIGN.md §13 and the PhaseScope call sites the
   // self-scan test walks; phase_hygiene fails on any literal not here.
   static const std::vector<std::string_view> tags = {
-      "engine.spmv",        // runtime::Engine::spmv (simulated path)
+      "engine.spmv",        // runtime::Engine::spmv in sim mode
       "engine.frontier",    // frontier staging/conversion
       "kernel.ip",          // inner-product kernel body
       "kernel.op",          // outer-product kernel body
-      "native.spmv",        // runtime::Engine::spmv_native
+      "native.spmv",        // runtime::Engine::spmv in native mode
       "native.kernel.pull", // native pull SpMV
       "native.kernel.push", // native push SpMSpV
       "sim.exec",           // serial tile execution

@@ -69,6 +69,33 @@ class AlgoRun {
   std::chrono::steady_clock::time_point wall_begin_;
 };
 
+/// Table I's Vector_Op for the frontier algorithms (BFS, SSSP, CC): walks
+/// the SpMV output's touched rows once and returns the rows `accept(v, x)`
+/// takes as the next frontier, in the output's own representation, and
+/// charges the pass. `accept` applies the algorithm's update and may
+/// rewrite the frontier value `x`.
+template <kernels::Semiring S, class Accept>
+Engine::Frontier apply_frontier(Engine& eng, const Engine::Output& out,
+                                const S& sr, Accept accept) {
+  Engine::Frontier next;
+  next.dense = out.dense;
+  if (next.dense) {
+    next.df = DenseFrontier(eng.dimension(), sr.vector_identity());
+  } else {
+    next.sv = SparseVector(eng.dimension());
+  }
+  out.for_each_touched([&](Index v, Value x) {
+    if (!accept(v, x)) return;
+    if (next.dense) {
+      next.df.set(v, x);
+    } else {
+      next.sv.push_back(v, x);
+    }
+  });
+  eng.charge_vector_pass(out.num_touched(), 2, 16);
+  return next;
+}
+
 }  // namespace
 
 std::uint32_t AlgoStats::sw_switches() const {
@@ -106,33 +133,13 @@ BfsResult bfs(Engine& eng, Index source) {
     const auto out = eng.spmv(f, sr, nullptr, visited);
     ++depth;
     // Apply: unvisited touched vertices join the next frontier at `depth`.
-    std::size_t added = 0;
-    if (out.dense) {
-      DenseFrontier next(n, sr.vector_identity());
-      out.for_each_touched([&](Index v, Value) {
-        if (visited[v] == 0) {
-          visited[v] = 1;
-          res.level[v] = depth;
-          next.set(v, static_cast<Value>(depth));
-          ++added;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_dense(std::move(next));
-    } else {
-      SparseVector next(n);
-      out.for_each_touched([&](Index v, Value) {
-        if (visited[v] == 0) {
-          visited[v] = 1;
-          res.level[v] = depth;
-          next.push_back(v, static_cast<Value>(depth));
-          ++added;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_sparse(std::move(next));
-    }
-    if (added == 0) break;
+    f = apply_frontier(eng, out, sr, [&](Index v, Value& x) {
+      if (visited[v] != 0) return false;
+      visited[v] = 1;
+      res.level[v] = depth;
+      x = static_cast<Value>(depth);
+      return true;
+    });
   }
   res.stats = run.finish();
   return res;
@@ -159,31 +166,11 @@ SsspResult sssp(Engine& eng, Index source, std::uint32_t max_iterations) {
     const auto out = eng.spmv(f, sr);
     // Apply (the min(..., V_dst) half of Table I's Matrix_Op): keep only
     // real improvements; improved vertices form the next frontier.
-    std::size_t improved = 0;
-    if (out.dense) {
-      DenseFrontier next(n, sr.vector_identity());
-      out.for_each_touched([&](Index v, Value cand) {
-        if (cand < res.dist[v]) {
-          res.dist[v] = cand;
-          next.set(v, cand);
-          ++improved;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_dense(std::move(next));
-    } else {
-      SparseVector next(n);
-      out.for_each_touched([&](Index v, Value cand) {
-        if (cand < res.dist[v]) {
-          res.dist[v] = cand;
-          next.push_back(v, cand);
-          ++improved;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_sparse(std::move(next));
-    }
-    if (improved == 0) break;
+    f = apply_frontier(eng, out, sr, [&](Index v, Value& cand) {
+      if (!(cand < res.dist[v])) return false;
+      res.dist[v] = cand;
+      return true;
+    });
   }
   res.stats = run.finish();
   return res;
@@ -252,33 +239,12 @@ CcResult connected_components(Engine& eng) {
   const kernels::BfsSemiring sr;  // min-label propagation
   while (f.nnz() > 0) {
     const auto out = eng.spmv(f, sr);
-    std::size_t improved = 0;
-    if (out.dense) {
-      kernels::DenseFrontier next(n, sr.vector_identity());
-      out.for_each_touched([&](Index v, Value label) {
-        const auto cand = static_cast<Index>(label);
-        if (cand < res.component[v]) {
-          res.component[v] = cand;
-          next.set(v, label);
-          ++improved;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_dense(std::move(next));
-    } else {
-      sparse::SparseVector next(n);
-      out.for_each_touched([&](Index v, Value label) {
-        const auto cand = static_cast<Index>(label);
-        if (cand < res.component[v]) {
-          res.component[v] = cand;
-          next.push_back(v, label);
-          ++improved;
-        }
-      });
-      eng.charge_vector_pass(out.num_touched(), 2, 16);
-      f = Engine::Frontier::from_sparse(std::move(next));
-    }
-    if (improved == 0) break;
+    f = apply_frontier(eng, out, sr, [&](Index v, Value& label) {
+      const auto cand = static_cast<Index>(label);
+      if (!(cand < res.component[v])) return false;
+      res.component[v] = cand;
+      return true;
+    });
   }
 
   // Count distinct representatives (a representative labels itself).

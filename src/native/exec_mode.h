@@ -1,4 +1,4 @@
-// Engine execution modes (ROADMAP item 4: fast functional mode).
+// Engine execution modes (DESIGN.md §14: fast functional mode).
 //
 // `kSim` runs every kernel through the cycle-accurate tile simulator;
 // `kNative` runs the same kernel loops as plain host code — no event logs,

@@ -1,4 +1,4 @@
-// Native (results-only) SpMV entry points — ROADMAP item 4.
+// Native (results-only) SpMV entry points (DESIGN.md §14).
 //
 // Both functions run the *same templated kernel loops* as the simulator,
 // instantiated with the charge-free HostMachine/NullAddressMap pair, so

@@ -88,6 +88,7 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
 
 const kernels::DenseFrontier& Engine::stage_dense(
     const kernels::DenseFrontier& df) {
+  if (opts_.exec_mode == native::ExecMode::kNative) return df;
   staged_dense_.values.values().assign(df.values.values().begin(),
                                        df.values.values().end());
   staged_dense_.active.assign(df.active.begin(), df.active.end());
@@ -97,6 +98,7 @@ const kernels::DenseFrontier& Engine::stage_dense(
 
 const sparse::SparseVector& Engine::stage_sparse(
     const sparse::SparseVector& sv) {
+  if (opts_.exec_mode == native::ExecMode::kNative) return sv;
   staged_sparse_.clear();
   for (const auto& e : sv.entries()) staged_sparse_.push_back(e.index, e.value);
   return staged_sparse_;
@@ -224,8 +226,9 @@ void Engine::record_iteration(const IterationRecord& rec, Cycles kernel_cycles,
   telemetry_->tick(rec.index + 1);
 }
 
-const kernels::DenseFrontier& Engine::fill_dense_staging(
-    const sparse::SparseVector& sv, Value identity) {
+const kernels::DenseFrontier& Engine::convert_to_dense(
+    const sparse::SparseVector& sv, Value identity, Cycles* cost) {
+  const obs::PhaseScope phase("engine.frontier");
   // Reset the staging buffer in place (stable host storage, see engine.h),
   // then scatter the entries.
   kernels::DenseFrontier& df = staged_dense_;
@@ -233,25 +236,11 @@ const kernels::DenseFrontier& Engine::fill_dense_staging(
   std::fill(df.active.begin(), df.active.end(), std::uint8_t{0});
   df.num_active = 0;
   for (const auto& e : sv.entries()) df.set(e.index, e.value);
-  return df;
-}
+  if (opts_.exec_mode == native::ExecMode::kNative) return df;
 
-const sparse::SparseVector& Engine::fill_sparse_staging(
-    const kernels::DenseFrontier& df) {
-  staged_sparse_.clear();
-  for (Index i = 0; i < df.dimension(); ++i) {
-    if (df.active[i]) staged_sparse_.push_back(i, df.values[i]);
-  }
-  return staged_sparse_;
-}
-
-const kernels::DenseFrontier& Engine::convert_to_dense(
-    const sparse::SparseVector& sv, Value identity, Cycles* cost) {
-  const obs::PhaseScope phase("engine.frontier");
   const Cycles start = machine_.cycles();
   // Bulk-initialize the value array and bitmap (DMA), then scatter the
-  // entries across the PEs. Charges depend only on sizes, so the
-  // functional refill (fill_dense_staging below) is safely factored out.
+  // entries across the PEs. Charges depend only on sizes.
   machine_.dma_traffic(static_cast<std::size_t>(sv.dimension()) * 8 +
                            sv.dimension() / 8,
                        /*write=*/true);
@@ -265,13 +254,19 @@ const kernels::DenseFrontier& Engine::convert_to_dense(
   machine_.dma_traffic(sv.nnz() * 12, /*write=*/false);
   machine_.dma_traffic(sv.nnz() * 9, /*write=*/true);
   machine_.global_barrier();
-  if (cost != nullptr) *cost = machine_.cycles() - start;
-  return fill_dense_staging(sv, identity);
+  *cost = machine_.cycles() - start;
+  return df;
 }
 
 const sparse::SparseVector& Engine::convert_to_sparse(
     const kernels::DenseFrontier& df, Cycles* cost) {
   const obs::PhaseScope phase("engine.frontier");
+  staged_sparse_.clear();
+  for (Index i = 0; i < df.dimension(); ++i) {
+    if (df.active[i]) staged_sparse_.push_back(i, df.values[i]);
+  }
+  if (opts_.exec_mode == native::ExecMode::kNative) return staged_sparse_;
+
   const Cycles start = machine_.cycles();
   // Scan the bitmap (one 64-bit word covers 64 vertices), emit entries for
   // set bits. Per-PE ranges keep the output ordered.
@@ -300,8 +295,8 @@ const sparse::SparseVector& Engine::convert_to_sparse(
     machine_.compute(pe, static_cast<double>(mine) * 2.0);
   }
   machine_.global_barrier();
-  if (cost != nullptr) *cost = machine_.cycles() - start;
-  return fill_sparse_staging(df);
+  *cost = machine_.cycles() - start;
+  return staged_sparse_;
 }
 
 }  // namespace cosparse::runtime

@@ -11,6 +11,11 @@
 //   ->  convert the frontier representation if the dataflow changed
 //   ->  run the chosen kernel  ->  log the iteration record.
 //
+// Both exec modes run this one flow. Native mode (EngineOptions::exec_mode)
+// differs in three places only: the kernel is native::pull_spmv/push_spmsv
+// instead of the simulated one, a hardware switch moves a mirror of the
+// config instead of reconfiguring the machine, and nothing is charged.
+//
 // The engine computes f_next = SpMV(G^T, f): prepare_matrix() transposes
 // the adjacency matrix once (paper Fig. 2). Many engines — e.g. the serve
 // batches of one cached dataset — may share one PreparedMatrix.
@@ -79,7 +84,7 @@ struct EngineOptions {
   /// owned; must outlive the engine). Overrides `sim_threads` when set;
   /// sim-mode engines never use it.
   sim::ParallelExecutor* executor = nullptr;
-  /// Execution backend (ROADMAP item 4). kSim runs kernels through the
+  /// Execution backend (DESIGN.md §14). kSim runs kernels through the
   /// cycle-accurate simulator; kNative runs the same kernel loops as plain
   /// host code (src/native/) — no cache model, no cycle accounting —
   /// producing byte-identical results (the native differential harness
@@ -257,28 +262,20 @@ class Engine {
   }
 
  private:
-  /// Frontier conversions, charged to the machine (lightweight vector
-  /// conversion of §III-D.2). Fill the engine-owned staging buffer and
-  /// return it.
+  /// Frontier conversions (lightweight vector conversion of §III-D.2):
+  /// refill the engine-owned staging buffer and return it. Sim mode charges
+  /// the machine and stores the cost in `*cost`; native mode charges
+  /// nothing and leaves `*cost` alone.
   const kernels::DenseFrontier& convert_to_dense(
       const sparse::SparseVector& sv, Value identity, Cycles* cost);
   const sparse::SparseVector& convert_to_sparse(
       const kernels::DenseFrontier& df, Cycles* cost);
 
-  /// Pass-through staging (no conversion, no simulated cost): copy the
-  /// caller's frontier into the engine-owned buffer so the kernel always
-  /// reads from stable host storage.
+  /// Pass-through staging (no conversion, no simulated cost). Sim mode
+  /// copies the caller's frontier into the engine-owned buffer so the
+  /// kernel always reads stable host storage; native mode returns `df`/`sv`.
   const kernels::DenseFrontier& stage_dense(const kernels::DenseFrontier& df);
   const sparse::SparseVector& stage_sparse(const sparse::SparseVector& sv);
-
-  /// Functional halves of the frontier conversions: refill the staging
-  /// buffers with no machine charges. convert_to_dense/convert_to_sparse
-  /// delegate to these after charging; the native path calls them
-  /// directly, so both modes run the identical conversion code.
-  const kernels::DenseFrontier& fill_dense_staging(
-      const sparse::SparseVector& sv, Value identity);
-  const sparse::SparseVector& fill_sparse_staging(
-      const kernels::DenseFrontier& df);
 
   Decision resolve_decision(std::size_t frontier_nnz) const;
 
@@ -296,13 +293,6 @@ class Engine {
   void record_iteration(const IterationRecord& rec, Cycles kernel_cycles,
                         double wall_ms);
 
-  /// Native-mode body of spmv() (engine.h bottom); same decision flow,
-  /// charge-free kernels, wall-clock-only observability.
-  template <kernels::Semiring S>
-  Output spmv_native(const Frontier& f, const S& sr,
-                     const sparse::DenseVector* dst_old,
-                     std::span<const std::uint8_t> settled);
-
   EngineOptions opts_;
   std::unique_ptr<sim::ParallelExecutor> owned_exec_;  ///< see sim_threads
   sim::ParallelExecutor* exec_ = nullptr;  ///< native kernels' pool, or null
@@ -313,18 +303,20 @@ class Engine {
   /// Native mode's view of the decided hardware config. The simulated
   /// machine's hierarchy is never reconfigured in native mode (there is
   /// nothing to flush); this mirror keeps hw_switched in the iteration
-  /// records identical to sim mode and selects the matching IP layout.
+  /// records identical to sim mode.
   sim::HwConfig native_hw_;
   native::DecisionEngine native_decider_;
   std::shared_ptr<const PreparedMatrix> prepared_;
   // Frontier staging buffers, allocated once at construction and refilled
-  // in place each iteration. AddressMap memoizes simulated regions by host
-  // pointer, so every pointer the kernels map must stay stable for the
-  // engine's lifetime — otherwise a freed per-iteration buffer whose host
-  // address malloc later recycles would alias a stale simulated region,
-  // making cycle counts depend on process heap history (DESIGN.md §11).
-  // They model the fixed device-resident frontier regions a real runtime
-  // would DMA into.
+  // in place each iteration. In sim mode every frontier a kernel reads
+  // lives here. AddressMap memoizes simulated regions by host pointer, so
+  // every pointer the kernels map must stay stable for the engine's
+  // lifetime — otherwise a freed per-iteration buffer whose host address
+  // malloc later recycles would alias a stale simulated region, making
+  // cycle counts depend on process heap history (DESIGN.md §11). They
+  // model the fixed device-resident frontier regions a real runtime would
+  // DMA into. Native mode maps no addresses: only conversions fill these,
+  // and a frontier already in the decided format is read in place.
   kernels::DenseFrontier staged_dense_;
   sparse::SparseVector staged_sparse_;
   std::vector<IterationRecord> log_;
@@ -341,13 +333,12 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
                             const sparse::DenseVector* dst_old,
                             std::span<const std::uint8_t> settled) {
   check_frontier(f, settled);
-  if (opts_.exec_mode == native::ExecMode::kNative) {
-    return spmv_native(f, sr, dst_old, settled);
-  }
-  const obs::PhaseScope phase("engine.spmv");
+  const bool is_native = opts_.exec_mode == native::ExecMode::kNative;
+  const obs::PhaseScope phase(is_native ? "native.spmv" : "engine.spmv");
   const auto wall_begin = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
-  const Cycles start_cycles = machine_.cycles();
-  const sim::Stats start_stats = machine_.stats();
+  // Native mode has no cycle model, so it takes no snapshot.
+  const Cycles start_cycles = is_native ? 0 : machine_.cycles();
+  const sim::Stats start_stats = is_native ? sim::Stats{} : machine_.stats();
 
   IterationRecord rec;
   rec.index = next_iteration_++;
@@ -356,156 +347,79 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
                                  : static_cast<double>(rec.frontier_nnz) /
                                        static_cast<double>(dimension());
 
+  // The audited decision is the same in both modes: its features, margins
+  // and counterfactual estimates are pure functions of the frontier
+  // sequence, so the decision_audit section is byte-identical.
   const Decision d = resolve_decision(rec.frontier_nnz);
   rec.sw = d.sw;
   rec.hw = d.hw;
   rec.sw_switched = last_sw_.has_value() && *last_sw_ != d.sw;
   last_sw_ = d.sw;
 
-  // Hardware reconfiguration (LCP-triggered; flush + <= 10 cycles).
-  if (machine_.hw() != d.hw) {
+  // Hardware reconfiguration (LCP-triggered; flush + <= 10 cycles). Native
+  // mode has nothing to flush and only moves its mirror of the config.
+  if (is_native) {
+    rec.hw_switched = native_hw_ != d.hw;
+    native_hw_ = d.hw;
+  } else if (machine_.hw() != d.hw) {
     machine_.reconfigure(d.hw);
     rec.hw_switched = true;
   }
 
   Output out;
   out.decision = d;
-  Cycles kernel_begin = 0;
-  Cycles kernel_end = 0;
-  if (d.sw == SwConfig::kIP) {
-    out.dense = true;
-    Cycles conv = 0;
+  out.dense = d.sw == SwConfig::kIP;
+  if (is_native) native_decider_.count(out.dense);
+  rec.converted_frontier = f.dense != out.dense;
+  Cycles kernel_cycles = 0;
+  if (out.dense) {
+    // The decided hw config selects the resident layout (SCS streams the
+    // vblocked ordering) in both modes, so every accumulation matches.
     const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs
                                                      : prepared_->ip_sc;
-    if (f.dense) {
-      const kernels::DenseFrontier& df = stage_dense(f.df);
-      kernel_begin = machine_.cycles();
-      {
-        const obs::PhaseScope kp("kernel.ip");
-        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
-                                            settled);
-      }
+    const kernels::DenseFrontier& df =
+        f.dense ? stage_dense(f.df)
+                : convert_to_dense(f.sv, sr.vector_identity(),
+                                   &rec.convert_cycles);
+    if (is_native) {
+      out.ip = native::pull_spmv(machine_.config(), d.hw, exec_, layout, df,
+                                 sr, settled);
     } else {
-      const kernels::DenseFrontier& df =
-          convert_to_dense(f.sv, sr.vector_identity(), &conv);
-      rec.converted_frontier = true;
-      kernel_begin = machine_.cycles();
-      {
-        const obs::PhaseScope kp("kernel.ip");
-        out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
-                                            settled);
-      }
+      const obs::PhaseScope kp("kernel.ip");
+      const Cycles kernel_begin = machine_.cycles();
+      out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
+                                          settled);
+      kernel_cycles = machine_.cycles() - kernel_begin;
     }
-    kernel_end = machine_.cycles();
-    rec.convert_cycles = conv;
   } else {
-    out.dense = false;
-    Cycles conv = 0;
-    if (f.dense) {
-      const sparse::SparseVector& sv = convert_to_sparse(f.df, &conv);
-      rec.converted_frontier = true;
-      kernel_begin = machine_.cycles();
-      {
-        const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op,
-                                            sv, dst_old, sr);
-      }
+    const sparse::SparseVector& sv =
+        f.dense ? convert_to_sparse(f.df, &rec.convert_cycles)
+                : stage_sparse(f.sv);
+    if (is_native) {
+      out.op = native::push_spmsv(machine_.config(), d.hw, exec_,
+                                  prepared_->op, sv, dst_old, sr);
     } else {
-      const sparse::SparseVector& sv = stage_sparse(f.sv);
-      kernel_begin = machine_.cycles();
-      {
-        const obs::PhaseScope kp("kernel.op");
-        out.op = kernels::run_outer_product(machine_, amap_, prepared_->op,
-                                            sv, dst_old, sr);
-      }
+      const obs::PhaseScope kp("kernel.op");
+      const Cycles kernel_begin = machine_.cycles();
+      out.op = kernels::run_outer_product(machine_, amap_, prepared_->op, sv,
+                                          dst_old, sr);
+      kernel_cycles = machine_.cycles() - kernel_begin;
     }
-    kernel_end = machine_.cycles();
-    rec.convert_cycles = conv;
   }
 
-  rec.cycles = machine_.cycles() - start_cycles;
-  rec.energy_pj = sim::EnergyModel{}.total(
-      machine_.config(), machine_.stats() - start_stats, rec.cycles);
+  // Native records keep the schema (lint requires the cycles key) with
+  // zeroed cycle and energy fields.
+  if (!is_native) {
+    rec.cycles = machine_.cycles() - start_cycles;
+    rec.energy_pj = sim::EnergyModel{}.total(
+        machine_.config(), machine_.stats() - start_stats, rec.cycles);
+  }
   log_.push_back(rec);
   const double wall_ms = std::chrono::duration<double, std::milli>(
                              std::chrono::steady_clock::now() -  // cosparse-lint: allow(determinism)
                              wall_begin)
                              .count();
-  record_iteration(rec, kernel_end - kernel_begin, wall_ms);
-  return out;
-}
-
-template <kernels::Semiring S>
-Engine::Output Engine::spmv_native(const Frontier& f, const S& sr,
-                                   const sparse::DenseVector* dst_old,
-                                   std::span<const std::uint8_t> settled) {
-  const obs::PhaseScope phase("native.spmv");
-  const auto wall_begin = std::chrono::steady_clock::now();  // cosparse-lint: allow(determinism)
-
-  IterationRecord rec;
-  rec.index = next_iteration_++;
-  rec.frontier_nnz = f.nnz();
-  rec.density = dimension() == 0 ? 0.0
-                                 : static_cast<double>(rec.frontier_nnz) /
-                                       static_cast<double>(dimension());
-
-  // Same audited decision as sim mode: features, threshold margins and
-  // counterfactual estimates are pure functions of the (identical)
-  // frontier sequence, so the decision_audit section stays byte-identical.
-  const Decision d = resolve_decision(rec.frontier_nnz);
-  rec.sw = d.sw;
-  rec.hw = d.hw;
-  rec.sw_switched = last_sw_.has_value() && *last_sw_ != d.sw;
-  last_sw_ = d.sw;
-  if (native_hw_ != d.hw) {
-    native_hw_ = d.hw;
-    rec.hw_switched = true;
-  }
-
-  Output out;
-  out.decision = d;
-  const native::KernelKind kind =
-      native_decider_.select(d.sw == SwConfig::kIP);
-  if (kind == native::KernelKind::kPull) {
-    out.dense = true;
-    // The decided hw config still selects the matching resident layout
-    // (SCS streams the vblocked ordering), so element visit order — and
-    // therefore every accumulation — matches the sim run exactly.
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs
-                                                     : prepared_->ip_sc;
-    const kernels::DenseFrontier* df = nullptr;
-    if (f.dense) {
-      df = &stage_dense(f.df);
-    } else {
-      df = &fill_dense_staging(f.sv, sr.vector_identity());
-      rec.converted_frontier = true;
-    }
-    out.ip = native::pull_spmv(machine_.config(), native_hw_, exec_, layout,
-                               *df, sr, settled);
-  } else {
-    out.dense = false;
-    const sparse::SparseVector* sv = nullptr;
-    if (f.dense) {
-      sv = &fill_sparse_staging(f.df);
-      rec.converted_frontier = true;
-    } else {
-      sv = &stage_sparse(f.sv);
-    }
-    out.op = native::push_spmsv(machine_.config(), native_hw_, exec_,
-                                prepared_->op, *sv, dst_old, sr);
-  }
-
-  // No cycle model in native mode: records keep the schema (lint requires
-  // the cycles key) with zeroed cycle/energy fields.
-  rec.cycles = 0;
-  rec.convert_cycles = 0;
-  rec.energy_pj = 0;
-  log_.push_back(rec);
-  const double wall_ms = std::chrono::duration<double, std::milli>(
-                             std::chrono::steady_clock::now() -  // cosparse-lint: allow(determinism)
-                             wall_begin)
-                             .count();
-  record_iteration(rec, 0, wall_ms);
+  record_iteration(rec, kernel_cycles, wall_ms);
   return out;
 }
 

@@ -225,6 +225,44 @@ TEST(NativeKernels, PushMatchesSimAllHwConfigs) {
   }
 }
 
+TEST(NativeKernels, PushSumsEachPesContributionsInHeapOrder) {
+  // The cases above give a row at most two contributions per PE, and a
+  // two-term sum commutes, so they cannot tell the heap's pop order from
+  // arrival order. Here x has 12 entries, so each of a tile's 4 PEs
+  // merges 3 columns, and every row gets all 3 of one PE's columns: two
+  // ones and a 1e16, whose sum rounds differently by order (1 + 1e16 + 1
+  // is 1e16, 1 + 1 + 1e16 is 1e16 + 2). The 1e16 sits at a different
+  // position in each PE's columns.
+  constexpr Index kN = 16;
+  std::vector<sparse::Triplet> t;
+  for (Index r = 0; r < kN; ++r) {
+    for (Index k = 0; k < 3; ++k) t.push_back({r, (r % 4) * 3 + k, 1.0});
+  }
+  const sparse::Coo m(kN, kN, std::move(t));
+  std::vector<Value> xs(12);
+  sparse::SparseVector x(kN);
+  for (Index c = 0; c < 12; ++c) {
+    xs[c] = c % 3 == (c / 3) % 3 ? 1e16 : 1.0;
+    x.push_back(c, xs[c]);
+  }
+  for (const auto hw : {sim::HwConfig::kPC, sim::HwConfig::kPS}) {
+    check_push(m, x, hw, PlainSpmv{});
+  }
+
+  // The case must be order-sensitive: on some row the simulated sum
+  // differs from the sum in arrival (column) order.
+  const auto striped = kernels::OpStripedMatrix::build(m, kSys.num_tiles, true);
+  const auto sim = sim_push(striped, x, sim::HwConfig::kPC, PlainSpmv{});
+  ASSERT_EQ(sim.y.nnz(), kN);
+  std::size_t order_sensitive = 0;
+  for (const auto& e : sim.y.entries()) {
+    Value arrival = 0;
+    for (Index k = 0; k < 3; ++k) arrival += xs[(e.index % 4) * 3 + k];
+    if (e.value != arrival) ++order_sensitive;
+  }
+  EXPECT_GT(order_sensitive, 0u);
+}
+
 TEST(NativeKernels, TropicalSemiringMatchesSimAndReference) {
   // min-plus: exercises non-arithmetic reduce identity (infinity) and the
   // kUsesDst finalize path.
