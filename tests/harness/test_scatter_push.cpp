@@ -186,6 +186,12 @@ struct StandIn {
   unsigned scale;  ///< ~700-1600 vertices each
 };
 
+// Without this, gtest prints the raw bytes of the name pointer and the
+// padding, so the discovered test names change from build to build.
+void PrintTo(const StandIn& s, std::ostream* os) {
+  *os << s.name << "/" << s.scale;
+}
+
 class ScatterPushDifferential : public ::testing::TestWithParam<StandIn> {
  protected:
   /// `pinned` fixes every iteration to the push (OP on PC); otherwise the
