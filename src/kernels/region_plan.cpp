@@ -2,28 +2,7 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-#include "kernels/ip_spmv.h"
-#include "kernels/op_spmv.h"
-
 namespace cosparse::kernels {
-
-const char* to_string(RegionScope s) {
-  switch (s) {
-    case RegionScope::kGlobal: return "global";
-    case RegionScope::kPerTile: return "per_tile";
-    case RegionScope::kPerPe: return "per_pe";
-  }
-  return "?";
-}
-
-RegionScope region_scope_from_string(const std::string& s) {
-  if (s == "global") return RegionScope::kGlobal;
-  if (s == "per_tile") return RegionScope::kPerTile;
-  if (s == "per_pe") return RegionScope::kPerPe;
-  throw Error("unknown region scope '" + s +
-              "' (expected global, per_tile or per_pe)");
-}
 
 Index default_vblock_cols(const sim::SystemConfig& cfg) {
   const double spm = static_cast<double>(cfg.scs_spm_bytes_per_tile());
@@ -31,57 +10,6 @@ Index default_vblock_cols(const sim::SystemConfig& cfg) {
   // Round down to a multiple of 64 so vblock boundaries are line-aligned
   // (keeps DMA fills and bitmap words from straddling blocks).
   return std::max<Index>(64, cols / 64 * 64);
-}
-
-std::vector<PlannedRegion> plan_ip_regions(const sim::SystemConfig& cfg,
-                                           const PlanShape& shape, bool scs,
-                                           bool vblocked) {
-  const auto n = static_cast<std::size_t>(shape.dimension);
-  std::vector<PlannedRegion> regions;
-  regions.push_back({"matrix.elems", shape.matrix_nnz * kIpElemBytes,
-                     RegionScope::kGlobal, false, false, std::nullopt});
-  regions.push_back({"vector.dense", n * kValueBytes, RegionScope::kGlobal,
-                     false, false, std::nullopt});
-  regions.push_back({"vector.bitmap", n / 8 + 1, RegionScope::kGlobal, false,
-                     false, std::nullopt});
-  regions.push_back({"output.y", n * kValueBytes, RegionScope::kGlobal, false,
-                     false, std::nullopt});
-  if (scs) {
-    // The SPM-pinned vector segment of the active vblock (Fig. 3 step 1).
-    // Without vblocking the whole value array must fit the tile SPM.
-    const std::size_t segment =
-        vblocked
-            ? static_cast<std::size_t>(std::min<Index>(
-                  shape.dimension, default_vblock_cols(cfg))) * kValueBytes
-            : n * kValueBytes;
-    regions.push_back({"vector.vblock_segment", segment,
-                       RegionScope::kPerTile, true, false, std::nullopt});
-  }
-  return regions;
-}
-
-std::vector<PlannedRegion> plan_op_regions(const sim::SystemConfig& cfg,
-                                           const PlanShape& shape, bool ps) {
-  const std::uint32_t tiles = std::max<std::uint32_t>(1, cfg.num_tiles);
-  const std::uint32_t P = std::max<std::uint32_t>(1, cfg.pes_per_tile);
-  // Per-PE share of x within a tile (every tile scans all of x).
-  const std::size_t chunk = (shape.frontier_nnz + P - 1) / P;
-  std::vector<PlannedRegion> regions;
-  regions.push_back({"vector.sparse", shape.frontier_nnz * kOpEntryBytes,
-                     RegionScope::kGlobal, false, false, std::nullopt});
-  regions.push_back({"matrix.op_elems",
-                     static_cast<std::size_t>((shape.matrix_nnz + tiles - 1) /
-                                              tiles) * kOpElemBytes,
-                     RegionScope::kPerTile, false, false, std::nullopt});
-  regions.push_back({"matrix.col_ptr",
-                     (static_cast<std::size_t>(shape.dimension) + 1) * 8,
-                     RegionScope::kPerTile, false, false, std::nullopt});
-  // Sorted-list heap: one sub-range per PE. Under PS it lives in the
-  // private SPM with graceful spill of the cold bottom levels.
-  regions.push_back({"op.heap", (chunk + 1) * kHeapNodeBytes,
-                     RegionScope::kPerPe, ps, /*spill_ok=*/true,
-                     std::nullopt});
-  return regions;
 }
 
 }  // namespace cosparse::kernels

@@ -1,73 +1,16 @@
-// Static allocation planning: the address-map regions a kernel *would*
-// create, computed from the machine configuration and the dataset shape
-// alone — no simulation, no host data.
-//
-// This is the kernel half of the cosparse-lint contract (src/verify): the
-// planners below mirror the amap.of()/Machine::alloc() calls in
-// ip_spmv.h/op_spmv.h, so the address-map lint pass can check SPM
-// capacity, alignment and bank-conflict hazards for the canonical
-// "matrix.*"/"vector.*"/"output.*"/"op.*" labels before a single
-// simulated cycle. When the kernels change their allocation scheme, the
-// planners and the cross-check test (tests/verify/test_region_plan.cpp)
-// must change with them.
+// The engine's vblock sizing for the SCS layout: how many columns of the
+// input vector one vblock covers so its value segment fits the tile's
+// scratchpad.
 #pragma once
-
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
 #include "common/types.h"
 #include "sim/config.h"
 
 namespace cosparse::kernels {
 
-/// How many instances of a region exist: one, one per tile, or one per PE.
-enum class RegionScope : std::uint8_t { kGlobal, kPerTile, kPerPe };
-
-[[nodiscard]] const char* to_string(RegionScope s);
-/// Parses "global"/"per_tile"/"per_pe"; throws cosparse::Error otherwise.
-[[nodiscard]] RegionScope region_scope_from_string(const std::string& s);
-
-/// One planned allocation region. `bytes` is per instance of `scope`.
-struct PlannedRegion {
-  std::string label;
-  std::size_t bytes = 0;
-  RegionScope scope = RegionScope::kGlobal;
-  /// Placed in scratchpad memory (subject to the SPM capacity of the
-  /// hardware configuration) rather than the cacheable address space.
-  bool spm = false;
-  /// SPM region that the kernel degrades gracefully on overflow (the OP
-  /// heap spills its cold bottom levels); overflow is then informational
-  /// rather than an error.
-  bool spill_ok = false;
-  /// Pinned base address (hand-written plans only; derived regions are
-  /// placed by the bump allocator and can never overlap).
-  std::optional<Addr> base;
-};
-
-/// Dataset shape sufficient for allocation planning.
-struct PlanShape {
-  Index dimension = 0;           ///< square adjacency: rows == cols
-  std::uint64_t matrix_nnz = 0;  ///< non-zeros of the adjacency
-  std::size_t frontier_nnz = 0;  ///< worst-case active-vertex count
-};
-
 /// The vblock width (columns) the engine uses so one vblock's 8-byte value
 /// segment fits the tile's SCS scratchpad, line-aligned (engine.cpp uses
 /// this for the resident SCS layout).
 [[nodiscard]] Index default_vblock_cols(const sim::SystemConfig& cfg);
-
-/// Regions run_inner_product() maps/allocates. With `scs` the SCS-only
-/// SPM-resident vblock segment is included (vblocked selects the engine's
-/// vblock sizing; otherwise the whole vector must be pinned).
-[[nodiscard]] std::vector<PlannedRegion> plan_ip_regions(
-    const sim::SystemConfig& cfg, const PlanShape& shape, bool scs,
-    bool vblocked = true);
-
-/// Regions run_outer_product() maps/allocates. With `ps` the per-PE heap
-/// is SPM-resident (spill-tolerant, paper §III-A).
-[[nodiscard]] std::vector<PlannedRegion> plan_op_regions(
-    const sim::SystemConfig& cfg, const PlanShape& shape, bool ps);
 
 }  // namespace cosparse::kernels

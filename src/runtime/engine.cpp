@@ -52,6 +52,19 @@ Engine::Engine(std::shared_ptr<const PreparedMatrix> prepared,
           prepared_->vblock_cols ==
               (opts_.vblocked ? kernels::default_vblock_cols(cfg) : 0),
       "engine: prepared matrix was built for a different system or layout");
+  if (!opts_.hw_reconfig && opts_.fixed_hw.has_value()) {
+    // Paper Fig. 2: IP runs on a shared hierarchy (SC/SCS), OP on a
+    // private one (PC/PS). A pinned hierarchy hosts only one dataflow.
+    const char* hw = sim::to_string(*opts_.fixed_hw);
+    COSPARSE_REQUIRE(!opts_.sw_reconfig,
+                     "engine: hardware pinned to "
+                         << hw << " needs a pinned dataflow (sw_reconfig = "
+                                  "false): the other one cannot run on it");
+    COSPARSE_REQUIRE(
+        (opts_.fixed_sw == SwConfig::kIP) == sim::is_shared(*opts_.fixed_hw),
+        "engine: " << to_string(opts_.fixed_sw) << " cannot run on " << hw
+                   << " (inner product needs SC/SCS, outer product PC/PS)");
+  }
   machine_.set_telemetry(telemetry_);
   if (telemetry_ != nullptr &&
       opts_.exec_mode == native::ExecMode::kNative) {

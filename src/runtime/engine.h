@@ -56,7 +56,9 @@ struct EngineOptions {
   bool sw_reconfig = true;
   /// Select the memory configuration automatically (§III-C.2/3); when
   /// false, IP runs in SC and OP runs in PC (the cache-only baselines),
-  /// unless `fixed_hw` is set.
+  /// unless `fixed_hw` is set. A pinned `fixed_hw` needs `sw_reconfig`
+  /// off and must host `fixed_sw` (IP: SC/SCS, OP: PC/PS); the
+  /// constructor throws cosparse::Error otherwise.
   bool hw_reconfig = true;
   SwConfig fixed_sw = SwConfig::kIP;
   std::optional<sim::HwConfig> fixed_hw;

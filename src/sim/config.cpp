@@ -61,64 +61,4 @@ Json SystemConfig::to_json() const {
   return o;
 }
 
-SystemConfig system_config_from_json(const Json& j,
-                                     std::vector<std::string>* unknown) {
-  COSPARSE_REQUIRE(j.is_object(), "system config must be a JSON object");
-  SystemConfig cfg;
-  const auto u32 = [](const Json& v) {
-    return static_cast<std::uint32_t>(v.as_int());
-  };
-  for (const auto& [key, value] : j.members()) {
-    if (key == "num_tiles") {
-      cfg.num_tiles = u32(value);
-    } else if (key == "pes_per_tile") {
-      cfg.pes_per_tile = u32(value);
-    } else if (key == "freq_ghz") {
-      cfg.freq_ghz = value.as_double();
-    } else if (key == "bank_bytes") {
-      cfg.bank_bytes = u32(value);
-    } else if (key == "line_bytes") {
-      cfg.line_bytes = u32(value);
-    } else if (key == "associativity") {
-      cfg.associativity = u32(value);
-    } else if (key == "prefetch_depth") {
-      cfg.prefetch_depth = u32(value);
-    } else if (key == "xbar_latency") {
-      cfg.xbar_latency = value.as_double();
-    } else if (key == "xbar_conflict_factor") {
-      cfg.xbar_conflict_factor = value.as_double();
-    } else if (key == "l1_bank_latency") {
-      cfg.l1_bank_latency = value.as_double();
-    } else if (key == "l2_bank_latency") {
-      cfg.l2_bank_latency = value.as_double();
-    } else if (key == "spm_latency") {
-      cfg.spm_latency = value.as_double();
-    } else if (key == "spm_mgmt_cycles") {
-      cfg.spm_mgmt_cycles = value.as_double();
-    } else if (key == "refill_overhead") {
-      cfg.refill_overhead = value.as_double();
-    } else if (key == "dram_channels") {
-      cfg.dram_channels = u32(value);
-    } else if (key == "dram_bytes_per_cycle_per_channel") {
-      cfg.dram_bytes_per_cycle_per_channel = value.as_double();
-    } else if (key == "dram_latency_min") {
-      cfg.dram_latency_min = value.as_double();
-    } else if (key == "dram_latency_max") {
-      cfg.dram_latency_max = value.as_double();
-    } else if (key == "reconfig_cycles") {
-      cfg.reconfig_cycles = value.as_double();
-    } else if (key == "lcp_base_cycles") {
-      cfg.lcp_base_cycles = value.as_double();
-    } else if (key == "lcp_cycles_per_pe") {
-      cfg.lcp_cycles_per_pe = value.as_double();
-    } else if (key == "system" || key == "l1_bytes_per_tile" ||
-               key == "l2_bytes_total" || key == "dram_peak_bytes_per_cycle") {
-      // Derived to_json() outputs; recomputed, never set.
-    } else if (unknown != nullptr) {
-      unknown->push_back(key);
-    }
-  }
-  return cfg;
-}
-
 }  // namespace cosparse::sim

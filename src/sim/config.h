@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "common/json.h"
 #include "common/types.h"
@@ -131,16 +130,5 @@ struct SystemConfig {
   /// Topology + memory/bandwidth parameters for run reports.
   [[nodiscard]] Json to_json() const;
 };
-
-/// Introspection hook for run plans (src/verify): builds a SystemConfig
-/// from a JSON object, starting from the defaults and overriding any field
-/// present. Derived to_json() outputs ("system", "l1_bytes_per_tile",
-/// "l2_bytes_total", "dram_peak_bytes_per_cycle") are accepted and
-/// ignored; names that are neither settable nor derived are appended to
-/// `unknown` (when given) so a linter can flag typos instead of silently
-/// dropping them. No legality checks — cosparse-lint owns those, so an
-/// illegal config can still be represented and analyzed.
-[[nodiscard]] SystemConfig system_config_from_json(
-    const Json& j, std::vector<std::string>* unknown = nullptr);
 
 }  // namespace cosparse::sim

@@ -1,12 +1,13 @@
-// Machine-readable static-analysis findings (cosparse.lint_report/v1).
+// Machine-readable lint findings (cosparse.lint_report/v1).
 //
-// Every verify pass emits Findings — a severity, a stable finding id
-// ("config.illegal-pair", "address.spm-overflow", ...), a human-readable
-// message, and a source location naming the config field, region label or
-// decision-tree node the finding is anchored to. A LintReport collects the
-// findings of one linted plan/report and serializes them as a
-// cosparse.lint_report/v1 JSON document; cosparse-lint exits nonzero when
-// a report contains errors so CI can gate on it.
+// Every cosparse-lint pass emits Findings: a severity, a stable finding id
+// ("report.tile-sum-mismatch", "serve.batch-exceeds-active", ...), a
+// human-readable message, and a location naming the document path, config
+// field or source line the finding is anchored to. A LintReport collects
+// the findings of one linted report, telemetry file, serve config or
+// source tree and serializes them as a cosparse.lint_report/v1 JSON
+// document; cosparse-lint exits nonzero when a report contains errors so
+// CI can gate on it.
 #pragma once
 
 #include <cstdint>
@@ -33,22 +34,15 @@ enum class Severity : std::uint8_t { kInfo, kWarning, kError };
 [[nodiscard]] Severity severity_from_string(std::string_view s);
 
 /// What a finding is anchored to. `kind` is one of "config_field" (a
-/// dotted path into the run plan, e.g. "system.bank_bytes"), "region"
-/// (an allocation label, e.g. "op.heap"), "tree_node" (a decision-tree
-/// node name, e.g. "ip.scs") or "document" (a path into a linted JSON
-/// document, e.g. "$.tile_stats").
+/// dotted path into a serve config, e.g. "traffic.arrival"), "document"
+/// (a path into a linted JSON document, e.g. "tile_stats") or "source"
+/// (a "file:line" in the source tree).
 struct Location {
   std::string kind;
   std::string name;
 
   static Location config_field(std::string name) {
     return {"config_field", std::move(name)};
-  }
-  static Location region(std::string label) {
-    return {"region", std::move(label)};
-  }
-  static Location tree_node(std::string node) {
-    return {"tree_node", std::move(node)};
   }
   static Location document(std::string path) {
     return {"document", std::move(path)};
@@ -61,8 +55,8 @@ struct Location {
 };
 
 struct Finding {
-  std::string pass;  ///< "config" | "address_map" | "decision_tree" | "schema"
-  std::string id;    ///< stable machine-matchable id, e.g. "tree.gap"
+  std::string pass;  ///< e.g. "report_schema", "serve_config", "determinism"
+  std::string id;    ///< stable machine-matchable id, e.g. "report.bad-value"
   Severity severity = Severity::kError;
   std::string message;
   Location location;

@@ -282,4 +282,11 @@ std::vector<Finding> lint_run_report(const Json& doc) {
   return out;
 }
 
+LintReport lint_run_report_json(const Json& doc, const std::string& subject) {
+  LintReport report(subject);
+  report.add(lint_run_report(doc));
+  report.sort_by_severity();
+  return report;
+}
+
 }  // namespace cosparse::verify

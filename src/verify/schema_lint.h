@@ -1,4 +1,4 @@
-// Pass 4: report/audit schema lint.
+// Pass: report/audit schema lint.
 //
 // Validates a cosparse.run_report/v1 document structurally and checks its
 // cross-section invariants: per-tile stats sum to the global stats,
@@ -10,6 +10,7 @@
 // apart.
 #pragma once
 
+#include <string>
 #include <vector>
 
 #include "common/json.h"
@@ -18,5 +19,9 @@
 namespace cosparse::verify {
 
 [[nodiscard]] std::vector<Finding> lint_run_report(const Json& doc);
+
+/// LintReport wrapper for the cosparse-lint `report` subcommand.
+[[nodiscard]] LintReport lint_run_report_json(const Json& doc,
+                                              const std::string& subject);
 
 }  // namespace cosparse::verify

@@ -1,4 +1,4 @@
-// Pass 5: telemetry lint.
+// Pass: telemetry lint.
 //
 // Three related validators for the continuous-telemetry pipeline
 // (obs/telemetry.h): the run report's "telemetry" section (schema tag,

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <numeric>
 
+#include "kernels/region_plan.h"
 #include "sparse/generate.h"
 
 namespace cosparse::kernels {
@@ -177,6 +178,18 @@ TEST(OpStripes, EmptyMatrix) {
   const Coo m(10, 10, {});
   const auto striped = OpStripedMatrix::build(m, 2);
   for (const auto& s : striped.stripes()) EXPECT_TRUE(s.elems.empty());
+}
+
+TEST(RegionPlan, DefaultVblockColsMatchesEngineSizing) {
+  // max(64, (SPM bytes / 8 B per value) rounded down to a line multiple).
+  const auto cfg = sim::SystemConfig::transmuter(4, 8);
+  const auto cols = static_cast<Index>(cfg.scs_spm_bytes_per_tile() / 8);
+  EXPECT_EQ(default_vblock_cols(cfg), std::max<Index>(64, cols / 64 * 64));
+  // Tiny SPM still yields the 64-column floor.
+  auto small = cfg;
+  small.pes_per_tile = 2;
+  small.bank_bytes = 256;
+  EXPECT_EQ(default_vblock_cols(small), 64);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -132,6 +133,35 @@ TEST(Engine, FixedHwPinsConfiguration) {
            PlainSpmv{});
   EXPECT_EQ(eng.iterations()[0].hw, sim::HwConfig::kSCS);
   EXPECT_EQ(eng.machine().hw(), sim::HwConfig::kSCS);
+}
+
+TEST(Engine, IllegalPinnedPairThrows) {
+  // Paper Fig. 2: IP needs a shared hierarchy (SC/SCS), OP a private one
+  // (PC/PS), so a pinned hierarchy also pins the dataflow.
+  const auto cfg = sim::SystemConfig::transmuter(2, 4);
+  const auto prepared = prepare_matrix(test_matrix(200, 1000), cfg);
+  using sim::HwConfig;
+  const auto pinned = [](std::optional<SwConfig> sw, HwConfig hw) {
+    EngineOptions opts;
+    opts.hw_reconfig = false;
+    opts.fixed_hw = hw;
+    opts.sw_reconfig = !sw.has_value();
+    if (sw.has_value()) opts.fixed_sw = *sw;
+    return opts;
+  };
+  EXPECT_THROW(Engine(prepared, cfg, pinned(SwConfig::kOP, HwConfig::kSCS)),
+               Error);
+  EXPECT_THROW(Engine(prepared, cfg, pinned(SwConfig::kIP, HwConfig::kPC)),
+               Error);
+  EXPECT_THROW(Engine(prepared, cfg, pinned(std::nullopt, HwConfig::kSC)),
+               Error);
+  for (const auto& [sw, hw] : {std::pair{SwConfig::kIP, HwConfig::kSC},
+                               std::pair{SwConfig::kIP, HwConfig::kSCS},
+                               std::pair{SwConfig::kOP, HwConfig::kPC},
+                               std::pair{SwConfig::kOP, HwConfig::kPS}}) {
+    EXPECT_NO_THROW(Engine(prepared, cfg, pinned(sw, hw)))
+        << to_string(sw) << "+" << sim::to_string(hw);
+  }
 }
 
 TEST(Engine, CacheOnlyBaselineMapping) {

@@ -1,11 +1,10 @@
-// cosparse-lint golden-findings tests: each seeded defect class must be
-// detected with the right finding id, severity and source location, and a
-// clean plan (the shipped quickstart defaults) must pass with exit 0.
+// cosparse-lint CLI tests: exit codes, output modes, usage errors and
+// --baseline suppression, driven in-process on crafted run reports and
+// serve configs.
 #include "cosparse_lint.h"
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -15,125 +14,16 @@
 namespace cosparse::tools {
 namespace {
 
-using verify::Finding;
-using verify::LintReport;
-using verify::Severity;
-
-const Finding* find_id(const LintReport& r, const std::string& id) {
-  const auto it =
-      std::find_if(r.findings().begin(), r.findings().end(),
-                   [&](const Finding& f) { return f.id == id; });
-  return it == r.findings().end() ? nullptr : &*it;
-}
-
-LintReport lint(const std::string& text) {
-  return verify::lint_plan_json(Json::parse(text), "crafted");
-}
-
-// The shipped examples/plans/quickstart.plan.json content.
-constexpr const char* kQuickstartPlan = R"({
-  "schema": "cosparse.run_plan/v1",
-  "name": "quickstart",
-  "system": {"num_tiles": 4, "pes_per_tile": 8},
-  "dataset": {"vertices": 20000, "edges": 200000},
-  "kernel": {"sw": "auto", "hw": "auto", "vblocked": true}
+constexpr const char* kCleanReport = R"({
+  "schema": "cosparse.run_report/v1", "tool": "test"
 })";
 
-TEST(CosparseLint, QuickstartDefaultsPassClean) {
-  const LintReport r = lint(kQuickstartPlan);
-  EXPECT_TRUE(r.clean()) << r.to_json().dump(2);
-}
-
-// ---- seeded defect class 1: illegal OP+SCS pair ----
-TEST(CosparseLint, DetectsIllegalOpScsPair) {
-  const LintReport r = lint(R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "kernel": {"sw": "OP", "hw": "SCS"}
-  })");
-  const Finding* f = find_id(r, "config.illegal-pair");
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->severity, Severity::kError);
-  EXPECT_EQ(f->location.kind, "config_field");
-  EXPECT_EQ(f->location.name, "kernel.hw");
-  EXPECT_FALSE(r.clean());
-}
-
-// ---- seeded defect class 2: overlapping explicit regions ----
-TEST(CosparseLint, DetectsOverlappingRegions) {
-  const LintReport r = lint(R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "regions": [
-      {"label": "matrix.elems", "bytes": 8192, "base": 0},
-      {"label": "vector.dense", "bytes": 8192, "base": 4096}
-    ]
-  })");
-  const Finding* f = find_id(r, "address.overlap");
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->severity, Severity::kError);
-  EXPECT_EQ(f->location.kind, "region");
-  EXPECT_EQ(f->location.name, "vector.dense");
-  EXPECT_FALSE(r.clean());
-}
-
-// ---- seeded defect class 3: SPM overflow under PS ----
-TEST(CosparseLint, DetectsSpmOverflowUnderPs) {
-  const LintReport r = lint(R"({
-    "schema": "cosparse.run_plan/v1",
-    "system": {"num_tiles": 2, "pes_per_tile": 4},
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "kernel": {"sw": "OP", "hw": "PS"},
-    "regions": [
-      {"label": "op.heap", "bytes": 6000, "scope": "per_pe", "spm": true}
-    ]
-  })");
-  const Finding* f = find_id(r, "address.spm-overflow");
-  ASSERT_NE(f, nullptr);
-  EXPECT_EQ(f->severity, Severity::kError);
-  EXPECT_EQ(f->location.name, "op.heap");
-  EXPECT_FALSE(r.clean());
-}
-
-// ---- seeded defect class 4: decision-tree gap and overlap ----
-TEST(CosparseLint, DetectsDecisionTreeGapAndOverlap) {
-  const LintReport gap = lint(R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "decision_tree": {"rules": [
-      {"node": "low", "sw": "OP", "hw": "PC",
-       "density": {"lo": 0.0, "hi": 0.3}},
-      {"node": "high", "sw": "IP", "hw": "SC",
-       "density": {"lo": 0.6, "hi": null}}
-    ]}
-  })");
-  const Finding* g = find_id(gap, "tree.gap");
-  ASSERT_NE(g, nullptr);
-  EXPECT_EQ(g->severity, Severity::kError);
-  EXPECT_FALSE(gap.clean());
-
-  const LintReport overlap = lint(R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "decision_tree": {"rules": [
-      {"node": "a", "sw": "OP", "hw": "PC",
-       "density": {"lo": 0.0, "hi": 0.5}},
-      {"node": "b", "sw": "IP", "hw": "SC",
-       "density": {"lo": 0.4, "hi": null}}
-    ]}
-  })");
-  const Finding* o = find_id(overlap, "tree.overlap");
-  ASSERT_NE(o, nullptr);
-  EXPECT_EQ(o->severity, Severity::kError);
-  EXPECT_EQ(o->location.kind, "tree_node");
-  EXPECT_FALSE(overlap.clean());
-}
-
-TEST(CosparseLint, MalformedPlanBecomesFindingNotCrash) {
-  const LintReport r = lint(R"({"schema": "cosparse.run_plan/v9"})");
-  ASSERT_NE(find_id(r, "plan.malformed"), nullptr);
-  EXPECT_FALSE(r.clean());
-}
+// A report whose per-tile l1_misses do not sum to the global counter.
+constexpr const char* kTileSumMismatchReport = R"({
+  "schema": "cosparse.run_report/v1", "tool": "test",
+  "stats": {"l1_misses": 10},
+  "tile_stats": [{"l1_misses": 1}]
+})";
 
 // ---- CLI driver: exit codes and output modes ----
 
@@ -155,60 +45,56 @@ int run_cli(const std::vector<std::string>& args, std::string* out_text) {
   return rc;
 }
 
-TEST(CosparseLintCli, CleanPlanExitsZero) {
-  const auto path = write_temp("clean.plan.json", kQuickstartPlan);
+TEST(CosparseLintCli, CleanReportExitsZero) {
+  const auto path = write_temp("clean.report.json", kCleanReport);
   std::string text;
-  EXPECT_EQ(run_cli({"plan", path}, &text), 0);
+  EXPECT_EQ(run_cli({"report", path}, &text), 0);
   EXPECT_NE(text.find("0 error(s)"), std::string::npos);
 }
 
 TEST(CosparseLintCli, ErrorsGateWithNonzeroExit) {
-  const auto path = write_temp("bad.plan.json", R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 1000, "edges": 8000},
-    "kernel": {"sw": "OP", "hw": "SCS"}
-  })");
+  const auto path = write_temp("bad.report.json", kTileSumMismatchReport);
   std::string text;
-  EXPECT_EQ(run_cli({"plan", path}, &text), 1);
-  EXPECT_NE(text.find("config.illegal-pair"), std::string::npos);
+  EXPECT_EQ(run_cli({"report", path}, &text), 1);
+  EXPECT_NE(text.find("report.tile-sum-mismatch"), std::string::npos);
 }
 
 TEST(CosparseLintCli, StrictPromotesWarningsToFailure) {
-  // Unknown plan field: a warning, so default passes but --strict fails.
-  const auto path = write_temp("warn.plan.json", R"({
-    "schema": "cosparse.run_plan/v1",
-    "dataset": {"vertices": 20000, "edges": 200000},
-    "frobnicate": 1
+  // A batch larger than the admission cap: a warning, so default passes
+  // but --strict fails.
+  const auto path = write_temp("warn.serve.json", R"({
+    "schema": "cosparse.serve_config/v1",
+    "max_active_reqs": 4,
+    "max_batch_size": 8,
+    "traffic": {"datasets": ["twitter"], "algos": ["bfs"]}
   })");
-  EXPECT_EQ(run_cli({"plan", path}, nullptr), 0);
-  EXPECT_EQ(run_cli({"plan", path, "--strict"}, nullptr), 1);
+  std::string text;
+  EXPECT_EQ(run_cli({"serve", path}, &text), 0);
+  EXPECT_NE(text.find("warning[serve.batch-exceeds-active]"),
+            std::string::npos)
+      << text;
+  EXPECT_EQ(run_cli({"serve", path, "--strict"}, nullptr), 1);
 }
 
 TEST(CosparseLintCli, JsonOutputIsALintFindingsDocument) {
-  const auto path = write_temp("clean2.plan.json", kQuickstartPlan);
+  const auto path = write_temp("clean2.report.json", kCleanReport);
   std::string text;
-  EXPECT_EQ(run_cli({"plan", path, "--json"}, &text), 0);
+  EXPECT_EQ(run_cli({"report", path, "--json"}, &text), 0);
   const Json doc = Json::parse(text);
   EXPECT_EQ(doc.find("schema")->as_string(), verify::kLintFindingsSchema);
   EXPECT_EQ(doc.find("tool")->as_string(), "cosparse-lint");
-  EXPECT_EQ(doc.find("subcommand")->as_string(), "plan");
+  EXPECT_EQ(doc.find("subcommand")->as_string(), "report");
   const auto& subjects = doc.find("subjects")->items();
   ASSERT_EQ(subjects.size(), 1u);
-  EXPECT_EQ(subjects[0].find("subject")->as_string(), "quickstart");
+  EXPECT_EQ(subjects[0].find("subject")->as_string(), path);
   ASSERT_NE(subjects[0].find("summary"), nullptr);
   ASSERT_NE(doc.find("summary"), nullptr);
   EXPECT_EQ(doc.find("summary")->find("errors")->as_int(), 0);
 }
 
 TEST(CosparseLintCli, ReportSubcommandValidatesRunReports) {
-  const auto good = write_temp("good.report.json", R"({
-    "schema": "cosparse.run_report/v1", "tool": "test"
-  })");
-  const auto bad = write_temp("bad.report.json", R"({
-    "schema": "cosparse.run_report/v1", "tool": "test",
-    "stats": {"l1_misses": 10},
-    "tile_stats": [{"l1_misses": 1}]
-  })");
+  const auto good = write_temp("good.report.json", kCleanReport);
+  const auto bad = write_temp("bad2.report.json", kTileSumMismatchReport);
   EXPECT_EQ(run_cli({"report", good}, nullptr), 0);
   std::string text;
   EXPECT_EQ(run_cli({"report", bad}, &text), 1);
@@ -217,8 +103,22 @@ TEST(CosparseLintCli, ReportSubcommandValidatesRunReports) {
 
 TEST(CosparseLintCli, UsageErrors) {
   EXPECT_EQ(run_cli({}, nullptr), 2);
-  EXPECT_EQ(run_cli({"plan", "/nonexistent/x.json"}, nullptr), 2);
-  EXPECT_EQ(run_cli({"plan", "--bogus-flag"}, nullptr), 2);
+  EXPECT_EQ(run_cli({"report", "/nonexistent/x.json"}, nullptr), 2);
+  EXPECT_EQ(run_cli({"report", "--bogus-flag"}, nullptr), 2);
+  EXPECT_EQ(run_cli({"report"}, nullptr), 2);
+  EXPECT_EQ(run_cli({"report", "--baseline"}, nullptr), 2);
+}
+
+TEST(CosparseLintCli, SubcommandIsRequired) {
+  // Neither a bare file nor the removed `plan` subcommand is accepted.
+  const auto path = write_temp("x.json", kCleanReport);
+  for (const std::vector<std::string>& args :
+       {std::vector<std::string>{path},
+        std::vector<std::string>{"plan", path}}) {
+    std::string text;
+    EXPECT_EQ(run_cli(args, &text), 2);
+    EXPECT_NE(text.find("usage: cosparse-lint"), std::string::npos) << text;
+  }
 }
 
 TEST(CosparseLintCli, TruncatedInputIsReportedUnderItsSubcommand) {
@@ -249,76 +149,80 @@ TEST(CosparseLintCli, DeeplyNestedReportIsUnparseableNotACrash) {
 }
 
 TEST(CosparseLintCli, ReportOutWritesDocument) {
-  const auto plan = write_temp("clean3.plan.json", kQuickstartPlan);
+  const auto report = write_temp("clean3.report.json", kCleanReport);
   const auto out_path = test::unique_temp_path("lint_report.json");
-  EXPECT_EQ(run_cli({"plan", plan, "--report-out", out_path}, nullptr), 0);
+  EXPECT_EQ(run_cli({"report", report, "--report-out", out_path}, nullptr),
+            0);
   std::ifstream in(out_path);
   ASSERT_TRUE(in.good());
   std::stringstream buf;
   buf << in.rdbuf();
   const Json doc = Json::parse(buf.str());
   EXPECT_EQ(doc.find("schema")->as_string(), verify::kLintFindingsSchema);
+  EXPECT_EQ(doc.find("subcommand")->as_string(), "report");
 }
 
 // ---- --baseline: shared suppression across subcommands ----
 
-constexpr const char* kIllegalPairPlan = R"({
-  "schema": "cosparse.run_plan/v1",
-  "dataset": {"vertices": 1000, "edges": 8000},
-  "kernel": {"sw": "OP", "hw": "SCS"}
-})";
-
 TEST(CosparseLintCli, BaselineSuppressesKnownFindings) {
-  const auto plan = write_temp("baselined.plan.json", kIllegalPairPlan);
+  const auto report =
+      write_temp("baselined.report.json", kTileSumMismatchReport);
   const auto baseline = write_temp("suppress.baseline.json", R"({
     "schema": "cosparse.lint_baseline/v1",
-    "suppress": [{"pass": "config", "id": "config.illegal-pair"}]
+    "suppress": [{"pass": "report_schema", "id": "report.tile-sum-mismatch"}]
   })");
-  // Without the baseline the plan gates; with it the finding stays
+  // Without the baseline the report gates; with it the finding stays
   // visible (marked suppressed) but the exit code drops to 0.
-  EXPECT_EQ(run_cli({"plan", plan}, nullptr), 1);
+  EXPECT_EQ(run_cli({"report", report}, nullptr), 1);
   std::string text;
-  EXPECT_EQ(run_cli({"plan", plan, "--baseline", baseline}, &text), 0);
-  EXPECT_NE(text.find("suppressed error[config.illegal-pair]"),
-            std::string::npos);
+  EXPECT_EQ(run_cli({"report", report, "--baseline", baseline}, &text), 0);
+  EXPECT_NE(text.find("suppressed error[report.tile-sum-mismatch]"),
+            std::string::npos)
+      << text;
   EXPECT_NE(text.find("1 suppressed"), std::string::npos);
 }
 
 TEST(CosparseLintCli, BaselineLocationNarrowsTheMatch) {
-  const auto plan = write_temp("narrow.plan.json", kIllegalPairPlan);
+  const auto report = write_temp("narrow.report.json", kTileSumMismatchReport);
   const auto wrong_loc = write_temp("narrow.baseline.json", R"({
     "schema": "cosparse.lint_baseline/v1",
-    "suppress": [{"pass": "config", "id": "config.illegal-pair",
-                  "location": "some.other.field"}]
+    "suppress": [{"pass": "report_schema", "id": "report.tile-sum-mismatch",
+                  "location": "tile_stats.l2_misses"}]
   })");
-  EXPECT_EQ(run_cli({"plan", plan, "--baseline", wrong_loc}, nullptr), 1);
+  const auto right_loc = write_temp("narrow_ok.baseline.json", R"({
+    "schema": "cosparse.lint_baseline/v1",
+    "suppress": [{"pass": "report_schema", "id": "report.tile-sum-mismatch",
+                  "location": "tile_stats.l1_misses"}]
+  })");
+  EXPECT_EQ(run_cli({"report", report, "--baseline", wrong_loc}, nullptr), 1);
+  EXPECT_EQ(run_cli({"report", report, "--baseline", right_loc}, nullptr), 0);
 }
 
 TEST(CosparseLintCli, BadBaselineIsAUsageError) {
-  const auto plan = write_temp("ok.plan.json", kQuickstartPlan);
+  const auto report = write_temp("ok.report.json", kCleanReport);
   const auto bad = write_temp("bad.baseline.json", R"({"schema": "nope"})");
-  EXPECT_EQ(run_cli({"plan", plan, "--baseline", bad}, nullptr), 2);
-  EXPECT_EQ(run_cli({"plan", plan, "--baseline", "/nonexistent.json"},
+  EXPECT_EQ(run_cli({"report", report, "--baseline", bad}, nullptr), 2);
+  EXPECT_EQ(run_cli({"report", report, "--baseline", "/nonexistent.json"},
                     nullptr),
             2);
 }
 
 TEST(CosparseLintCli, SuppressedFindingsAreMarkedInJson) {
-  const auto plan = write_temp("marked.plan.json", kIllegalPairPlan);
+  const auto report = write_temp("marked.report.json", kTileSumMismatchReport);
   const auto baseline = write_temp("marked.baseline.json", R"({
     "schema": "cosparse.lint_baseline/v1",
-    "suppress": [{"pass": "config", "id": "config.illegal-pair",
-                  "location": "kernel.hw"}]
+    "suppress": [{"pass": "report_schema", "id": "report.tile-sum-mismatch",
+                  "location": "tile_stats.l1_misses"}]
   })");
   std::string text;
-  EXPECT_EQ(run_cli({"plan", plan, "--baseline", baseline, "--json"}, &text),
-            0);
+  EXPECT_EQ(
+      run_cli({"report", report, "--baseline", baseline, "--json"}, &text), 0);
   const Json doc = Json::parse(text);
   const Json& subject = doc.find("subjects")->items()[0];
   EXPECT_GE(subject.find("summary")->find("suppressed")->as_int(), 1);
   bool saw_marker = false;
   for (const Json& f : subject.find("findings")->items()) {
-    if (f.find("id")->as_string() == "config.illegal-pair") {
+    if (f.find("id")->as_string() == "report.tile-sum-mismatch") {
       const Json* sup = f.find("suppressed");
       saw_marker = sup != nullptr && sup->as_bool();
     }

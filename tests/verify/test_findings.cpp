@@ -15,16 +15,16 @@ TEST(Severity, RoundTripsThroughStrings) {
 }
 
 TEST(Finding, RoundTripsThroughJson) {
-  const Finding f{"config", "config.illegal-pair", Severity::kError,
-                  "illegal configuration pair OP+SCS",
-                  Location::config_field("kernel.hw")};
+  const Finding f{"serve_config", "serve.batch-exceeds-active",
+                  Severity::kWarning, "max_batch_size exceeds max_active_reqs",
+                  Location::config_field("max_batch_size")};
   const Finding back = finding_from_json(f.to_json());
   EXPECT_EQ(back.pass, f.pass);
   EXPECT_EQ(back.id, f.id);
   EXPECT_EQ(back.severity, f.severity);
   EXPECT_EQ(back.message, f.message);
   EXPECT_EQ(back.location.kind, "config_field");
-  EXPECT_EQ(back.location.name, "kernel.hw");
+  EXPECT_EQ(back.location.name, "max_batch_size");
 }
 
 TEST(LintReport, CountsAndCleanliness) {
@@ -55,12 +55,12 @@ TEST(LintReport, SortsMostSevereFirst) {
 }
 
 TEST(LintReport, JsonCarriesSchemaAndSummary) {
-  LintReport r("plans/x.json");
-  r.emit("config", "config.no-tiles", Severity::kError, "num_tiles is 0",
-         Location::config_field("system.num_tiles"));
+  LintReport r("traces/x.serve.json");
+  r.emit("serve_config", "serve.bad-value", Severity::kError,
+         "max_active_reqs is 0", Location::config_field("max_active_reqs"));
   const Json j = r.to_json();
   EXPECT_EQ(j.find("schema")->as_string(), kLintReportSchema);
-  EXPECT_EQ(j.find("subject")->as_string(), "plans/x.json");
+  EXPECT_EQ(j.find("subject")->as_string(), "traces/x.serve.json");
   EXPECT_EQ(j.find("findings")->size(), 1u);
   EXPECT_EQ(j.find("summary")->find("errors")->as_int(), 1);
   EXPECT_EQ(j.find("summary")->find("warnings")->as_int(), 0);

@@ -11,6 +11,7 @@
 #include "common/error.h"
 #include "common/json.h"
 #include "verify/baseline.h"
+#include "verify/schema_lint.h"
 #include "verify/serve_lint.h"
 #include "verify/telemetry_lint.h"
 
@@ -19,11 +20,9 @@ namespace cosparse::tools {
 namespace {
 
 constexpr const char* kUsage =
-    "usage: cosparse-lint [plan|report|telemetry|serve|code] <file>... "
-    "[options]\n"
+    "usage: cosparse-lint report|telemetry|serve|code <file>... [options]\n"
     "\n"
     "subcommands:\n"
-    "  plan       lint cosparse.run_plan/v1 documents (default)\n"
     "  report     lint cosparse.run_report/v1 documents\n"
     "  telemetry  lint exported telemetry files: *.prom/*.txt as\n"
     "             OpenMetrics text, anything else as snapshot JSONL\n"
@@ -42,7 +41,7 @@ constexpr const char* kUsage =
     "  --report-out <file>  also write the lint_findings JSON to <file>\n";
 
 struct Options {
-  std::string subcommand = "plan";
+  std::string subcommand;
   std::vector<std::string> files;
   bool json = false;
   bool strict = false;
@@ -54,13 +53,14 @@ struct Options {
 bool parse_args(int argc, const char* const* argv, Options& opts,
                 std::ostream& err) {
   std::vector<std::string> args(argv + 1, argv + argc);
-  std::size_t i = 0;
-  if (!args.empty() && (args[0] == "plan" || args[0] == "report" ||
-                        args[0] == "telemetry" || args[0] == "serve" ||
-                        args[0] == "code")) {
-    opts.subcommand = args[0];
-    ++i;
+  if (args.empty() || (args[0] != "report" && args[0] != "telemetry" &&
+                       args[0] != "serve" && args[0] != "code")) {
+    err << "cosparse-lint: expected a subcommand"
+        << (args.empty() ? std::string() : ", got '" + args[0] + "'") << "\n";
+    return false;
   }
+  opts.subcommand = args[0];
+  std::size_t i = 1;
   const auto value = [&](const char* flag, std::string& slot) {
     if (i + 1 >= args.size()) {
       err << "cosparse-lint: " << flag << " needs an argument\n";
@@ -202,14 +202,11 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
           const Json doc = Json::parse(buf.str());
           report = opts.subcommand == "report"
                        ? verify::lint_run_report_json(doc, path)
-                   : opts.subcommand == "serve"
-                       ? verify::lint_serve_config_json(doc, path)
-                       : verify::lint_plan_json(doc, path);
+                       : verify::lint_serve_config_json(doc, path);
         } catch (const Error& e) {
           // Reported under the pass the subcommand's findings carry.
-          const char* pass = opts.subcommand == "report"  ? "report_schema"
-                             : opts.subcommand == "serve" ? "serve_config"
-                                                          : "plan";
+          const char* pass = opts.subcommand == "report" ? "report_schema"
+                                                         : "serve_config";
           report.add(verify::Finding{
               pass, opts.subcommand + ".unparseable",
               verify::Severity::kError, e.what(),

@@ -1,18 +1,16 @@
-// cosparse-lint: static verifier for run plans, run reports, telemetry
-// exports and — since the `code` subcommand — the source tree itself.
+// cosparse-lint: static verifier for the documents the programs write or
+// read (run reports, telemetry exports, serve configs) and for the source
+// tree itself.
 //
-// Subcommands, none of which executes the simulator:
-//
-//   plan <plan.json>... [options]
-//     runs the config-legality, address-map and decision-tree passes over
-//     each cosparse.run_plan/v1 document and prints the findings. Exits
-//     nonzero when any plan has errors (with --strict, also on warnings)
-//     so CI can gate on it.
+// Subcommands, one of which is required and none of which executes the
+// simulator:
 //
 //   report <report.json>... [options]
 //     runs the schema/invariant pass over cosparse.run_report/v1
 //     documents — the same checks the observability unit tests enforce
-//     (including the telemetry section when present).
+//     (including the telemetry section when present). Exits nonzero when
+//     any report has errors (with --strict, also on warnings) so CI can
+//     gate on it.
 //
 //   telemetry <file>... [options]
 //     lints exported telemetry artifacts: *.prom / *.txt files as
@@ -49,18 +47,19 @@
 #include <iosfwd>
 #include <string>
 
-#include "verify/verify.h"
+#include "verify/findings.h"
 
 namespace cosparse::tools {
 
 /// Human-readable rendering: one line per finding
-/// ("error[config.illegal-pair] @kernel.hw: ..."), then a summary line.
+/// ("error[report.bad-value] @iterations[0].cycles: ..."), then a summary
+/// line.
 /// Baseline-suppressed findings are prefixed "suppressed".
 void print_lint_report(std::ostream& os, const verify::LintReport& report);
 
 /// Full CLI (argument parsing + file IO). Returns the process exit code:
 /// 0 clean, 1 findings at or above the gating severity, 2 usage error
-/// (including an unreadable --baseline file).
+/// (a missing subcommand, or an unreadable input or --baseline file).
 int lint_main(int argc, const char* const* argv, std::ostream& out,
               std::ostream& err);
 
