@@ -8,6 +8,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
@@ -273,39 +274,22 @@ const NativeFixture& native_fixture() {
   return f;
 }
 
-void BM_NativePull(benchmark::State& state, sim::HwConfig hw) {
-  // A PageRank iteration: every vertex active.
-  const auto& f = native_fixture();
-  const auto& layout =
-      hw == sim::HwConfig::kSCS ? f.prepared->ip_scs : f.prepared->ip_sc;
-  const auto x = kernels::DenseFrontier::from_dense(sparse::DenseVector(
-      f.graph.num_vertices(), 1.0 / f.graph.num_vertices()));
-  const auto threads = static_cast<std::uint32_t>(state.range(0));
-  std::optional<sim::ParallelExecutor> exec;
-  if (threads > 0) exec.emplace(threads);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(native::pull_spmv(f.cfg, hw,
-                                               exec ? &*exec : nullptr, layout,
-                                               x, kernels::PageRankSemiring{}));
-  }
-  state.counters["vblocks"] = layout.num_vblocks();
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(layout.nnz()));
-}
-BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC)
-    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS)
-    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
-    ->Unit(benchmark::kMillisecond);
+/// A native BFS on the fixture from its 100th highest out-degree vertex,
+/// recorded as graph::bfs hands its frontiers to the engine: the push
+/// frontier with the most edges (level 1: 1466 vertices, 461905 edges),
+/// and the pull frontier with the most vertices with the visited mask it
+/// is pulled under.
+struct RecordedBfs {
+  sparse::SparseVector push;
+  kernels::DenseFrontier pull;
+  std::vector<std::uint8_t> visited;
+};
 
-/// The push frontier with the most edges in a native BFS on the fixture
-/// from its 100th highest out-degree vertex (level 1: 1466 vertices,
-/// 461905 edges), valued as graph::bfs hands it to the engine.
-const sparse::SparseVector& bfs_push_frontier() {
-  static const sparse::SparseVector x = [] {
+const RecordedBfs& recorded_bfs() {
+  static const RecordedBfs bfs = [] {
     const auto& f = native_fixture();
     const auto& deg = f.graph.out_degrees();
+    const Index n = f.graph.num_vertices();
     std::vector<Index> by_degree(deg.size());
     for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
     std::stable_sort(by_degree.begin(), by_degree.end(),
@@ -314,37 +298,94 @@ const sparse::SparseVector& bfs_push_frontier() {
     opts.exec_mode = native::ExecMode::kNative;
     runtime::Engine eng(f.prepared, f.cfg, opts);
     const auto res = graph::bfs(eng, by_degree[100]);
-    // Iteration i of a fresh engine's BFS pushes the level-i vertices.
+    // Iteration i of a fresh engine's BFS takes the level-i vertices as
+    // its frontier, with every vertex of level <= i visited.
     const auto frontier = [&](std::int64_t level) {
-      sparse::SparseVector v(f.graph.num_vertices());
-      for (Index u = 0; u < v.dimension(); ++u) {
+      sparse::SparseVector v(n);
+      for (Index u = 0; u < n; ++u) {
         if (res.level[u] == level) v.push_back(u, static_cast<Value>(level));
       }
       return v;
     };
     const auto edges = [&](const sparse::SparseVector& v) {
-      std::int64_t n = 0;
-      for (const auto& e : v.entries()) n += deg[e.index];
-      return n;
+      std::int64_t e = 0;
+      for (const auto& entry : v.entries()) e += deg[entry.index];
+      return e;
     };
-    sparse::SparseVector widest(f.graph.num_vertices());
+    RecordedBfs out{sparse::SparseVector(n), {}, {}};
+    sparse::SparseVector pull(n);
+    std::int64_t pull_level = -1;
     for (const auto& rec : eng.iterations()) {
-      if (rec.sw != runtime::SwConfig::kOP) continue;
       auto v = frontier(rec.index);
-      if (edges(v) > edges(widest)) widest = std::move(v);
+      if (rec.sw == runtime::SwConfig::kOP) {
+        if (edges(v) > edges(out.push)) out.push = std::move(v);
+      } else if (v.nnz() > pull.nnz()) {
+        pull = std::move(v);
+        pull_level = rec.index;
+      }
     }
-    return widest;
+    out.pull = kernels::DenseFrontier::from_sparse(
+        pull, kernels::BfsSemiring{}.vector_identity());
+    out.visited.assign(n, 0);
+    for (Index u = 0; u < n; ++u) {
+      out.visited[u] = res.level[u] >= 0 && res.level[u] <= pull_level;
+    }
+    return out;
   }();
-  return x;
+  return bfs;
 }
 
-/// BFS push of bfs_push_frontier(): `merge` runs the simulator's heap
+/// `bfs` false: a PageRank iteration, every vertex active, on the layout
+/// of `hw`. `bfs` true: the BFS pull of recorded_bfs() under its visited
+/// mask, on the SC layout the engine hands a native `min` pull.
+void BM_NativePull(benchmark::State& state, sim::HwConfig hw, bool bfs) {
+  const auto& f = native_fixture();
+  const auto& layout =
+      hw == sim::HwConfig::kSCS ? f.prepared->ip_scs : f.prepared->ip_sc;
+  const auto threads = static_cast<std::uint32_t>(state.range(0));
+  std::optional<sim::ParallelExecutor> exec;
+  if (threads > 0) exec.emplace(threads);
+  sim::ParallelExecutor* pool = exec ? &*exec : nullptr;
+  if (bfs) {
+    const RecordedBfs& rec = recorded_bfs();
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(native::pull_spmv(f.cfg, hw, pool, layout,
+                                                 rec.pull,
+                                                 kernels::BfsSemiring{},
+                                                 rec.visited));
+    }
+    state.counters["frontier"] = static_cast<double>(rec.pull.num_active);
+    state.counters["visited"] = static_cast<double>(
+        std::count(rec.visited.begin(), rec.visited.end(), 1));
+  } else {
+    const auto x = kernels::DenseFrontier::from_dense(sparse::DenseVector(
+        f.graph.num_vertices(), 1.0 / f.graph.num_vertices()));
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(native::pull_spmv(
+          f.cfg, hw, pool, layout, x, kernels::PageRankSemiring{}));
+    }
+  }
+  state.counters["vblocks"] = layout.num_vblocks();
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(layout.nnz()));
+}
+BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC, false)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS, false)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePull, bfs, sim::HwConfig::kSC, true)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+
+/// BFS push of recorded_bfs(): `merge` runs the simulator's heap
 /// loop on the host machine (the native push before selecting reductions
 /// scattered), `scatter` the native entry point. Their ratio is the
 /// kernel-level gain of the scatter.
 void BM_NativePush(benchmark::State& state, bool scatter) {
   const auto& f = native_fixture();
-  const auto& x = bfs_push_frontier();
+  const auto& x = recorded_bfs().push;
   const auto& deg = f.graph.out_degrees();
   std::int64_t edges = 0;
   for (const auto& e : x.entries()) edges += deg[e.index];

@@ -10,17 +10,12 @@
 // shared L1 cache.
 //
 // The kernel is functional *and* timed: results are exact, and every
-// architectural event is charged to the simulated machine.
-//
-// A caller may declare rows "settled": rows whose output it will not read
-// (BFS's visited vertices). A results-only machine (Machine::
-// kSkipsSettledRows) skips their elements, leaving them at reduce_identity
-// and untouched; the timed machine streams every element, so its event
-// stream and cycles do not depend on the mask (DESIGN.md §14).
+// architectural event is charged to the simulated machine. The native
+// backend runs this loop for summing semirings only; a selecting
+// reduction's native pull is native::detail::gather_rows (DESIGN.md §14).
 #pragma once
 
 #include <cstdint>
-#include <span>
 #include <type_traits>
 #include <vector>
 
@@ -52,17 +47,13 @@ inline constexpr std::uint32_t kIpInterleaveElems = 64;
 // charge-free stand-ins (native::HostMachine / native::NullAddressMap,
 // DESIGN.md §14): same operations, the same order within every PE's
 // exclusive rows, bit-identical results. The machine orders the work the
-// kernel declares independent (for_tile_steps, pe_burst). `settled` is
-// empty or has one byte per row (nonzero = settled; see the file comment).
+// kernel declares independent (for_tile_steps, pe_burst).
 template <Semiring S, class Machine = sim::Machine, class AMap = AddressMap>
 IpResult run_inner_product(Machine& m, AMap& amap,
                            const IpPartitionedMatrix& A,
-                           const DenseFrontier& x, const S& sr,
-                           std::span<const std::uint8_t> settled = {}) {
+                           const DenseFrontier& x, const S& sr) {
   COSPARSE_CHECK_MSG(A.cols() == x.dimension(),
                      "IP: matrix/vector dimension mismatch");
-  COSPARSE_CHECK_MSG(settled.empty() || settled.size() == A.rows(),
-                     "IP: settled mask/matrix row count mismatch");
   const Index n_rows = A.rows();
   const Index n_cols = A.cols();
   const bool all_active = x.all_active();
@@ -134,7 +125,6 @@ IpResult run_inner_product(Machine& m, AMap& amap,
     const sparse::Triplet* const elems = A.elems().data();
     const std::uint8_t* const x_active = x.active.data();
     const Value* const x_val = x.values.values().data();
-    const std::uint8_t* const settled_rows = settled.data();
     Value* const y = out.y.values().data();
     std::uint8_t* const touched = out.touched.data();
 
@@ -181,17 +171,11 @@ IpResult run_inner_product(Machine& m, AMap& amap,
     // update is a select, not a branch: every element computes its edge
     // value and an inactive one leaves the accumulator as it was, so host
     // PEs (which issue no charges) do not branch on frontier activity.
-    // The settled-skipping variants exist only for machines that declare
-    // kSkipsSettledRows; a settled row's elements never open or flush it.
     auto stream = [&](std::uint32_t pe, PeState& st, Offset burst_end,
-                      auto all_active_tag, auto skip_settled_tag) {
+                      auto all_active_tag) {
       constexpr bool kAllActive = decltype(all_active_tag)::value;
-      constexpr bool kSkipSettled = decltype(skip_settled_tag)::value;
       for (; st.k < burst_end; ++st.k) {
         const sparse::Triplet e = elems[st.k];
-        if constexpr (kSkipSettled) {
-          if (settled_rows[e.row] != 0) continue;
-        }
         // Matrix element stream (sequential; prefetcher keeps it hot).
         m.mem_read(pe, elems_base + st.k * kIpElemBytes, kIpElemBytes);
         m.compute(pe, 1);  // loop/issue overhead
@@ -252,17 +236,10 @@ IpResult run_inner_product(Machine& m, AMap& amap,
         // write may alias them, which would keep every field in memory.
         PeState st = state[pe];
         const Offset burst_end = std::min<Offset>(st.k + burst, st.k_end);
-        auto stream_burst = [&](auto skip_settled_tag) {
-          if (all_active) {
-            stream(pe, st, burst_end, std::true_type{}, skip_settled_tag);
-          } else {
-            stream(pe, st, burst_end, std::false_type{}, skip_settled_tag);
-          }
-        };
-        if (!settled.empty()) {
-          stream_burst(std::bool_constant<Machine::kSkipsSettledRows>{});
+        if (all_active) {
+          stream(pe, st, burst_end, std::true_type{});
         } else {
-          stream_burst(std::false_type{});
+          stream(pe, st, burst_end, std::false_type{});
         }
         if (st.k < st.k_end) any_left = true;
         state[pe] = st;

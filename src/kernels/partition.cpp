@@ -1,6 +1,7 @@
 #include "kernels/partition.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.h"
 
@@ -107,6 +108,9 @@ IpPartitionedMatrix IpPartitionedMatrix::build(const sparse::Coo& m,
     write_pos += e_end - e_begin;
   }
   COSPARSE_CHECK(write_pos == m.nnz());
+  // One vblock keeps the row-major input order, so the prefix sum indexes
+  // elems_ too.
+  if (out.num_vblocks_ == 1) out.row_offsets_ = std::move(row_start);
   return out;
 }
 

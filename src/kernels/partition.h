@@ -51,6 +51,12 @@ class IpPartitionedMatrix {
   [[nodiscard]] const std::vector<PePartition>& partitions() const {
     return partitions_;
   }
+  /// Single-vblock layouts only (empty otherwise): rows + 1 offsets, row
+  /// r's elements are elems()[row_offsets()[r], row_offsets()[r + 1]), so
+  /// the stream reads as CSR.
+  [[nodiscard]] const std::vector<Offset>& row_offsets() const {
+    return row_offsets_;
+  }
 
  private:
   Index rows_ = 0, cols_ = 0;
@@ -58,6 +64,7 @@ class IpPartitionedMatrix {
   std::uint32_t num_vblocks_ = 1;
   std::vector<sparse::Triplet> elems_;
   std::vector<PePartition> partitions_;
+  std::vector<Offset> row_offsets_;
 };
 
 /// Outer-product layout: one row *stripe* per tile, each stored as a

@@ -5,8 +5,9 @@
 // timing call inlines to nothing and the compiler strips the address
 // arithmetic feeding it, leaving exactly the functional loop — same
 // operations, same order, same doubles. That shared-source construction is
-// the native mode equivalence argument: there is no second kernel
-// implementation to drift.
+// the native mode equivalence argument for summing semirings. A selecting
+// reduction (min) runs two native-only loops instead (native/spmv.h), which
+// use only this machine's topology and for_tiles().
 //
 // Topology queries answer from the real SystemConfig so partition-shape
 // checks and SPM-capacity branches take the same paths as under
@@ -101,10 +102,6 @@ class HostMachine {
       std::uint32_t /*modeled*/) {
     return std::numeric_limits<std::uint32_t>::max();
   }
-
-  /// Results only: a row the caller declared settled is never read, so
-  /// the pull kernel skips its elements (kernels/ip_spmv.h).
-  static constexpr bool kSkipsSettledRows = true;
 
  private:
   const sim::SystemConfig* cfg_;

@@ -13,7 +13,8 @@
 //
 // Both exec modes run this one flow. Native mode (EngineOptions::exec_mode)
 // differs in three places only: the kernel is native::pull_spmv/push_spmsv
-// instead of the simulated one, a hardware switch moves a mirror of the
+// instead of the simulated one (a selecting reduction's pull reads the SC
+// layout under either IP config), a hardware switch moves a mirror of the
 // config instead of reconfiguring the machine, and nothing is charged.
 //
 // The engine computes f_next = SpMV(G^T, f): prepare_matrix() transposes
@@ -212,8 +213,9 @@ class Engine {
   /// V_dst for semirings with kUsesDst (CF). `settled` is empty or holds
   /// one byte per row; a nonzero byte promises the caller will not read
   /// that row of the output, so a native pull may leave it at
-  /// reduce_identity and untouched (DESIGN.md §14). Sim mode and push
-  /// kernels compute every row regardless.
+  /// reduce_identity and untouched (DESIGN.md §14). Only a selecting
+  /// reduction's native pull skips them; sim mode and every other kernel
+  /// compute every row.
   template <kernels::Semiring S>
   Output spmv(const Frontier& f, const S& sr,
               const sparse::DenseVector* dst_old = nullptr,
@@ -376,9 +378,13 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
   Cycles kernel_cycles = 0;
   if (out.dense) {
     // The decided hw config selects the resident layout (SCS streams the
-    // vblocked ordering) in both modes, so every accumulation matches.
-    const auto& layout = d.hw == sim::HwConfig::kSCS ? prepared_->ip_scs
-                                                     : prepared_->ip_sc;
+    // vblocked ordering), so every summed accumulation matches. A native
+    // selecting reduction reads the SC layout row by row under either
+    // config: a min row's result does not depend on its elements' order.
+    const auto& layout =
+        d.hw == sim::HwConfig::kSCS && !(is_native && native::kOrderFree<S>)
+            ? prepared_->ip_scs
+            : prepared_->ip_sc;
     const kernels::DenseFrontier& df =
         f.dense ? stage_dense(f.df)
                 : convert_to_dense(f.sv, sr.vector_identity(),
@@ -389,8 +395,7 @@ Engine::Output Engine::spmv(const Frontier& f, const S& sr,
     } else {
       const obs::PhaseScope kp("kernel.ip");
       const Cycles kernel_begin = machine_.cycles();
-      out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr,
-                                          settled);
+      out.ip = kernels::run_inner_product(machine_, amap_, layout, df, sr);
       kernel_cycles = machine_.cycles() - kernel_begin;
     }
   } else {

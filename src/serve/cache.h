@@ -38,17 +38,20 @@ namespace cosparse::serve {
 
 /// Resident bytes of one cached dataset: the graph (adjacency triplets +
 /// out-degree vector) plus its prepared matrix (the SC and SCS triplet
-/// layouts, and the OP stripes, whose per-tile column pointers span every
-/// vertex); the O(PEs x vblocks) partition bookkeeping is left out. The
-/// one unit every serving byte budget is charged in: MatrixCache charges a
-/// loaded graph's counts, the scheduler's virtual cache twin and
-/// cosparse-lint charge the dataset spec's scaled counts.
+/// layouts, the SC layout's row offsets, one per vertex plus one, and the
+/// OP stripes, whose per-tile column pointers span every vertex); the
+/// O(PEs x vblocks) partition bookkeeping is left out, and so are the
+/// SCS row offsets a layout too narrow to vblock also keeps. The one unit
+/// every serving byte budget is charged in: MatrixCache charges a loaded
+/// graph's counts, the scheduler's virtual cache twin and cosparse-lint
+/// charge the dataset spec's scaled counts.
 [[nodiscard]] constexpr std::uint64_t resident_bytes(std::uint64_t vertices,
                                                      std::uint64_t edges,
                                                      std::uint64_t num_tiles) {
   return edges * (3 * sizeof(sparse::Triplet) +
                   sizeof(kernels::OpStripedMatrix::Element)) +
-         vertices * sizeof(Index) + num_tiles * (vertices + 1) * sizeof(Offset);
+         vertices * sizeof(Index) +
+         (num_tiles + 1) * (vertices + 1) * sizeof(Offset);
 }
 
 struct CacheStats {

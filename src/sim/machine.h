@@ -20,6 +20,8 @@
 // Tiles are simulated serially in ascending tile-ID order (for_tiles), so
 // every run of the same inputs produces the same numbers (DESIGN.md §11).
 // Simulated cycles never depend on how many host threads the caller has.
+// Every simulated pull streams every element of the layout: the modeled
+// hardware has no settled-row mask (only native pulls take one).
 //
 // Hierarchy wiring per HwConfig (paper Fig. 2):
 //   SC : per-tile shared L1 cache (P banks)           -> global shared L2
@@ -149,11 +151,6 @@ class Machine {
       std::uint32_t modeled) {
     return modeled;
   }
-
-  /// The timed machine streams every element, settled rows included (see
-  /// kernels/ip_spmv.h): the modeled hardware has no settled mask, so the
-  /// event stream and cycles never depend on one.
-  static constexpr bool kSkipsSettledRows = false;
 
   // ---- reconfiguration (paper §III-D: LCP-triggered, <= 10 cycles) ----
   /// Global barrier, write-back flush of all dirty cache lines, the <= 10

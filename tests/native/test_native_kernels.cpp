@@ -78,25 +78,36 @@ kernels::OpResult sim_push(const kernels::OpStripedMatrix& striped,
   return kernels::run_outer_product(machine, amap, striped, x, nullptr, sr);
 }
 
-/// Runs pull through sim and native — serially and on 1, 3 and 8 threads
-/// (3 splits the 4 tiles unevenly) — and checks every leg is bitwise
-/// identical to sim, returning the digest.
+/// Runs pull through sim on `sim_part` and native on `native_part` —
+/// serially and on 1, 3 and 8 threads (3 splits the 4 tiles unevenly) —
+/// and checks every leg is bitwise identical to sim, returning the digest.
 template <kernels::Semiring S>
-std::string check_pull_part(const kernels::IpPartitionedMatrix& part,
-                            const DenseFrontier& x, sim::HwConfig hw,
-                            const S& sr) {
-  const std::string sim = digest_ip(sim_pull(part, x, hw, sr));
-  EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, nullptr, part, x, sr)))
+std::string check_pull_parts(const kernels::IpPartitionedMatrix& sim_part,
+                             const kernels::IpPartitionedMatrix& native_part,
+                             const DenseFrontier& x, sim::HwConfig hw,
+                             const S& sr) {
+  const std::string sim = digest_ip(sim_pull(sim_part, x, hw, sr));
+  EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, nullptr, native_part,
+                                             x, sr)))
       << "native serial pull diverged from sim";
   for (const std::uint32_t threads : {1U, 3U, 8U}) {
     sim::ParallelExecutor exec(threads);
-    EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, &exec, part, x, sr)))
+    EXPECT_EQ(sim, digest_ip(native::pull_spmv(kSys, hw, &exec, native_part,
+                                               x, sr)))
         << "native " << threads << "-thread pull diverged from sim";
   }
   return sim;
 }
 
-/// check_pull_part over the layout the engine uses for `hw`.
+template <kernels::Semiring S>
+std::string check_pull_part(const kernels::IpPartitionedMatrix& part,
+                            const DenseFrontier& x, sim::HwConfig hw,
+                            const S& sr) {
+  return check_pull_parts(part, part, x, hw, sr);
+}
+
+/// check_pull_parts over the layouts the engine uses for `hw`: a
+/// selecting reduction's native pull reads the SC layout under SCS too.
 template <kernels::Semiring S>
 std::string check_pull(const sparse::Coo& m, const DenseFrontier& x,
                        sim::HwConfig hw, const S& sr) {
@@ -104,7 +115,10 @@ std::string check_pull(const sparse::Coo& m, const DenseFrontier& x,
       hw == sim::HwConfig::kSCS ? kernels::default_vblock_cols(kSys) : 0;
   const auto part =
       kernels::IpPartitionedMatrix::build(m, kSys.num_pes(), vb, true);
-  return check_pull_part(part, x, hw, sr);
+  if (!native::kOrderFree<S>) return check_pull_part(part, x, hw, sr);
+  const auto sc = kernels::IpPartitionedMatrix::build(m, kSys.num_pes(), 0,
+                                                      true);
+  return check_pull_parts(part, sc, x, hw, sr);
 }
 
 template <kernels::Semiring S>
@@ -137,7 +151,8 @@ TEST(NativeKernels, PullMatchesSimAcrossVblocks) {
   // tiles' vblock 0, then vblock 1, ...; the host runs a tile's vblocks in
   // order inside one task. Rows collect one partial sum per vblock, so a
   // wrong step order changes PlainSpmv's rounding. CfSemiring adds the
-  // kUsesDst finalize pass.
+  // kUsesDst finalize pass. SSSP's native pull reads the SC layout, as
+  // the engine hands it, against the simulator's vblocked one.
   constexpr Index kN = 600;
   const auto m =
       sparse::power_law(kN, kN, 9000, 2.1, 31, sparse::ValueDist::kUniform01);
@@ -151,8 +166,10 @@ TEST(NativeKernels, PullMatchesSimAcrossVblocks) {
   };
   check_pull_part(part, frontier(PlainSpmv{}.vector_identity(), 32),
                   sim::HwConfig::kSCS, PlainSpmv{});
-  check_pull_part(part, frontier(SsspSemiring{}.vector_identity(), 33),
-                  sim::HwConfig::kSCS, SsspSemiring{});
+  const auto sc = kernels::IpPartitionedMatrix::build(m, kSys.num_pes(), 0,
+                                                      true);
+  check_pull_parts(part, sc, frontier(SsspSemiring{}.vector_identity(), 33),
+                   sim::HwConfig::kSCS, SsspSemiring{});
   check_pull_part(part, frontier(CfSemiring{}.vector_identity(), 34),
                   sim::HwConfig::kSCS, CfSemiring{});
 

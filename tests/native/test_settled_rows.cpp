@@ -1,12 +1,14 @@
-// Settled-row skipping in the pull kernel (DESIGN.md §14). A caller may
-// declare rows it will not read; the results-only host machine then skips
-// their elements, and the timed simulator ignores the declaration. Checked
-// here: masked native pulls agree bit-for-bit with unmasked ones on every
-// unsettled row and leave settled rows at reduce_identity and untouched;
-// masked simulated pulls are indistinguishable from unmasked ones,
-// cycles and counters included; and native BFS, which passes its visited
-// set, still matches the simulator and a queue BFS on the Table III
-// stand-ins.
+// Settled-row skipping in the pull (DESIGN.md §14 item 6). A caller may
+// declare rows it will not read; a selecting reduction's native pull
+// (native::detail::gather_rows) then skips them, every other kernel
+// ignores the declaration. Checked here: masked native `min` pulls agree
+// bit-for-bit with the simulator's unmasked pull on every unsettled row,
+// on the SC layout and on the vblocked SCS layout, and leave settled rows
+// at reduce_identity and untouched; a summing semiring's native pull
+// ignores the mask; a simulated engine run is indistinguishable with and
+// without one, cycles and counters included; and native BFS, which passes
+// its visited set, still matches the simulator and a queue BFS on the
+// Table III stand-ins.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -67,10 +69,26 @@ struct Layout {
 constexpr Layout kLayouts[] = {{"SC", sim::HwConfig::kSC, 0},
                                {"SCS", sim::HwConfig::kSCS, 64}};
 
-/// Masked vs unmasked native pulls at 0, 3 and 8 host threads.
 template <kernels::Semiring S>
-void check_masked_pull(const IpPartitionedMatrix& part, sim::HwConfig hw,
+kernels::IpResult sim_pull(const IpPartitionedMatrix& part, sim::HwConfig hw,
+                           const DenseFrontier& x, const S& sr) {
+  sim::Machine machine(kSys, hw);
+  kernels::AddressMap amap(machine);
+  return kernels::run_inner_product(machine, amap, part, x, sr);
+}
+
+/// Masked native pulls at 0, 3 and 8 host threads against the simulator's
+/// unmasked pull on `part`. A selecting reduction's native pull reads `sc`
+/// (the single-vblock layout the engine hands it under either IP config)
+/// and leaves settled rows at reduce_identity and untouched; any other
+/// semiring's reads `part` and must ignore the mask.
+template <kernels::Semiring S>
+void check_masked_pull(const IpPartitionedMatrix& sc,
+                       const IpPartitionedMatrix& part, sim::HwConfig hw,
                        const DenseFrontier& x, const S& sr) {
+  constexpr bool kSkips = native::kOrderFree<S>;
+  const IpPartitionedMatrix& native_part = kSkips ? sc : part;
+  const auto full = sim_pull(part, hw, x, sr);
   const auto identity_bits = std::bit_cast<std::uint64_t>(sr.reduce_identity());
   for (const auto& settled : masks()) {
     for (const std::uint32_t threads : {0U, 3U, 8U}) {
@@ -78,15 +96,14 @@ void check_masked_pull(const IpPartitionedMatrix& part, sim::HwConfig hw,
       std::optional<sim::ParallelExecutor> exec;
       if (threads > 0) exec.emplace(threads);
       sim::ParallelExecutor* const ex = exec ? &*exec : nullptr;
-      const auto full = native::pull_spmv(kSys, hw, ex, part, x, sr);
       const auto masked =
-          native::pull_spmv(kSys, hw, ex, part, x, sr, settled);
+          native::pull_spmv(kSys, hw, ex, native_part, x, sr, settled);
       std::size_t want_touched = 0;
       std::size_t bad_unsettled = 0;
       std::size_t bad_settled = 0;
       for (Index r = 0; r < kN; ++r) {
         const auto bits = std::bit_cast<std::uint64_t>(masked.y[r]);
-        if (settled[r] != 0) {
+        if (kSkips && settled[r] != 0) {
           if (bits != identity_bits || masked.touched[r] != 0) ++bad_settled;
         } else {
           if (bits != std::bit_cast<std::uint64_t>(full.y[r]) ||
@@ -96,7 +113,7 @@ void check_masked_pull(const IpPartitionedMatrix& part, sim::HwConfig hw,
           want_touched += full.touched[r];
         }
       }
-      EXPECT_EQ(bad_unsettled, 0U) << "unsettled rows diverged";
+      EXPECT_EQ(bad_unsettled, 0U) << "computed rows diverged from sim";
       EXPECT_EQ(bad_settled, 0U) << "settled rows were written";
       EXPECT_EQ(masked.num_touched, want_touched);
     }
@@ -112,6 +129,7 @@ void check_all_frontiers(const S& sr) {
   const DenseFrontier all_active =
       DenseFrontier::from_dense(sparse::random_dense_vector(kN, 33));
   ASSERT_TRUE(all_active.all_active());
+  const auto sc = IpPartitionedMatrix::build(m, kSys.num_pes(), 0, true);
   for (const Layout& layout : kLayouts) {
     SCOPED_TRACE(layout.name);
     const auto part = IpPartitionedMatrix::build(m, kSys.num_pes(),
@@ -119,11 +137,11 @@ void check_all_frontiers(const S& sr) {
     if (layout.vblock_cols > 0) ASSERT_GT(part.num_vblocks(), 1U);
     {
       SCOPED_TRACE("partial frontier");
-      check_masked_pull(part, layout.hw, partial, sr);
+      check_masked_pull(sc, part, layout.hw, partial, sr);
     }
     {
       SCOPED_TRACE("all-active frontier");
-      check_masked_pull(part, layout.hw, all_active, sr);
+      check_masked_pull(sc, part, layout.hw, all_active, sr);
     }
   }
 }
@@ -136,32 +154,35 @@ TEST(SettledRowsProperty, NativeSsspPullSkipsOnlySettledRows) {
   check_all_frontiers(SsspSemiring{});
 }
 
-TEST(SettledRowsProperty, NativePageRankPullSkipsOnlySettledRows) {
+TEST(SettledRowsProperty, NativePageRankPullIgnoresTheMask) {
   check_all_frontiers(PageRankSemiring{});
 }
 
+/// One simulated engine pull pinned to `hw`, with an optional mask.
 struct SimRun {
-  kernels::IpResult out;
+  runtime::Engine::Output out;
   Cycles cycles = 0;
   std::string stats;
 };
 
-SimRun sim_pull(const IpPartitionedMatrix& part, sim::HwConfig hw,
-                const DenseFrontier& x,
-                std::span<const std::uint8_t> settled) {
-  sim::Machine machine(kSys, hw);
-  kernels::AddressMap amap(machine);
+SimRun sim_engine_pull(const sparse::Coo& m, sim::HwConfig hw,
+                       const DenseFrontier& x,
+                       std::span<const std::uint8_t> settled) {
+  runtime::EngineOptions opts;
+  opts.sw_reconfig = false;
+  opts.hw_reconfig = false;
+  opts.fixed_sw = runtime::SwConfig::kIP;
+  opts.fixed_hw = hw;
+  runtime::Engine eng(m, kSys, opts);
   SimRun run;
-  run.out = kernels::run_inner_product(machine, amap, part, x, BfsSemiring{},
-                                       settled);
-  run.cycles = machine.cycles();
-  run.stats = machine.stats().to_json().dump();
+  run.out = eng.spmv(runtime::Engine::Frontier::from_dense(x), BfsSemiring{},
+                     nullptr, settled);
+  run.cycles = eng.total_cycles();
+  run.stats = eng.machine().stats().to_json().dump();
   return run;
 }
 
 TEST(SettledRowsProperty, SimulatorIgnoresTheMask) {
-  static_assert(!sim::Machine::kSkipsSettledRows);
-  static_assert(native::HostMachine::kSkipsSettledRows);
   const auto m =
       sparse::power_law(kN, kN, 9000, 2.1, 41, sparse::ValueDist::kUniform01);
   const DenseFrontier x = DenseFrontier::from_sparse(
@@ -169,18 +190,18 @@ TEST(SettledRowsProperty, SimulatorIgnoresTheMask) {
   const auto settled = random_mask(kN, 0.9, 43);
   for (const Layout& layout : kLayouts) {
     SCOPED_TRACE(layout.name);
-    const auto part = IpPartitionedMatrix::build(m, kSys.num_pes(),
-                                                 layout.vblock_cols, true);
-    const SimRun plain = sim_pull(part, layout.hw, x, {});
-    const SimRun masked = sim_pull(part, layout.hw, x, settled);
+    const SimRun plain = sim_engine_pull(m, layout.hw, x, {});
+    const SimRun masked = sim_engine_pull(m, layout.hw, x, settled);
+    ASSERT_TRUE(plain.out.dense);
+    EXPECT_EQ(plain.out.decision.hw, layout.hw);
     EXPECT_GT(plain.cycles, 0U);
     EXPECT_EQ(masked.cycles, plain.cycles);
     EXPECT_EQ(masked.stats, plain.stats);
-    EXPECT_EQ(masked.out.num_touched, plain.out.num_touched);
-    EXPECT_EQ(masked.out.touched, plain.out.touched);
+    EXPECT_EQ(masked.out.ip.num_touched, plain.out.ip.num_touched);
+    EXPECT_EQ(masked.out.ip.touched, plain.out.ip.touched);
     for (Index r = 0; r < kN; ++r) {
-      ASSERT_EQ(std::bit_cast<std::uint64_t>(masked.out.y[r]),
-                std::bit_cast<std::uint64_t>(plain.out.y[r]))
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(masked.out.ip.y[r]),
+                std::bit_cast<std::uint64_t>(plain.out.ip.y[r]))
           << "row " << r;
     }
   }

@@ -154,7 +154,8 @@ TEST(MatrixCache, ConcurrentAcquiresLoadOnce) {
 }
 
 TEST(MatrixCache, GraphBytesFormula) {
-  // The budget charges the graph plus the three resident layouts of G^T.
+  // The budget charges the graph plus the three resident layouts of G^T
+  // and the SC layout's row offsets.
   auto reg = registry();
   const auto g = reg.load("twitter", kScale, 0);
   const std::uint64_t v = g.num_vertices();
@@ -162,6 +163,7 @@ TEST(MatrixCache, GraphBytesFormula) {
   const std::uint64_t expected =
       e * sizeof(sparse::Triplet) + v * sizeof(Index) +      // graph
       2 * e * sizeof(sparse::Triplet) +                      // IP SC + SCS
+      (v + 1) * sizeof(Offset) +                             // SC row offsets
       e * sizeof(kernels::OpStripedMatrix::Element) +        // OP elements
       kSystem.num_tiles * (v + 1) * sizeof(Offset);          // OP col_ptr
   EXPECT_EQ(resident_bytes(v, e, kSystem.num_tiles), expected);
