@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -274,15 +275,29 @@ const NativeFixture& native_fixture() {
   return f;
 }
 
-/// A native BFS on the fixture from its 100th highest out-degree vertex,
-/// recorded as graph::bfs hands its frontiers to the engine: the push
-/// frontier with the most edges (level 1: 1466 vertices, 461905 edges),
-/// and the pull frontier with the most vertices with the visited mask it
-/// is pulled under.
+/// The fixture's 100th highest out-degree vertex: the recorded runs' source.
+Index recorded_source() {
+  const auto& deg = native_fixture().graph.out_degrees();
+  std::vector<Index> by_degree(deg.size());
+  for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&](Index a, Index b) { return deg[a] > deg[b]; });
+  return by_degree[100];
+}
+
+/// One recorded `min` pull: its frontier and the settled mask it runs under.
+struct RecordedPull {
+  kernels::DenseFrontier x;
+  std::vector<std::uint8_t> settled;
+};
+
+/// A native BFS on the fixture from recorded_source(), recorded as
+/// graph::bfs hands its frontiers to the engine: the push frontier with the
+/// most edges (level 1: 1466 vertices, 461905 edges), and the pull frontier
+/// with the most vertices with the visited mask it is pulled under.
 struct RecordedBfs {
   sparse::SparseVector push;
-  kernels::DenseFrontier pull;
-  std::vector<std::uint8_t> visited;
+  RecordedPull pull;
 };
 
 const RecordedBfs& recorded_bfs() {
@@ -290,14 +305,10 @@ const RecordedBfs& recorded_bfs() {
     const auto& f = native_fixture();
     const auto& deg = f.graph.out_degrees();
     const Index n = f.graph.num_vertices();
-    std::vector<Index> by_degree(deg.size());
-    for (Index v = 0; v < by_degree.size(); ++v) by_degree[v] = v;
-    std::stable_sort(by_degree.begin(), by_degree.end(),
-                     [&](Index a, Index b) { return deg[a] > deg[b]; });
     runtime::EngineOptions opts;
     opts.exec_mode = native::ExecMode::kNative;
     runtime::Engine eng(f.prepared, f.cfg, opts);
-    const auto res = graph::bfs(eng, by_degree[100]);
+    const auto res = graph::bfs(eng, recorded_source());
     // Iteration i of a fresh engine's BFS takes the level-i vertices as
     // its frontier, with every vertex of level <= i visited.
     const auto frontier = [&](std::int64_t level) {
@@ -312,7 +323,7 @@ const RecordedBfs& recorded_bfs() {
       for (const auto& entry : v.entries()) e += deg[entry.index];
       return e;
     };
-    RecordedBfs out{sparse::SparseVector(n), {}, {}};
+    RecordedBfs out{sparse::SparseVector(n), {}};
     sparse::SparseVector pull(n);
     std::int64_t pull_level = -1;
     for (const auto& rec : eng.iterations()) {
@@ -324,21 +335,67 @@ const RecordedBfs& recorded_bfs() {
         pull_level = rec.index;
       }
     }
-    out.pull = kernels::DenseFrontier::from_sparse(
+    out.pull.x = kernels::DenseFrontier::from_sparse(
         pull, kernels::BfsSemiring{}.vector_identity());
-    out.visited.assign(n, 0);
+    out.pull.settled.assign(n, 0);
     for (Index u = 0; u < n; ++u) {
-      out.visited[u] = res.level[u] >= 0 && res.level[u] <= pull_level;
+      out.pull.settled[u] = res.level[u] >= 0 && res.level[u] <= pull_level;
     }
     return out;
   }();
   return bfs;
 }
 
-/// `bfs` false: a PageRank iteration, every vertex active, on the layout
-/// of `hw`. `bfs` true: the BFS pull of recorded_bfs() under its visited
-/// mask, on the SC layout the engine hands a native `min` pull.
-void BM_NativePull(benchmark::State& state, sim::HwConfig hw, bool bfs) {
+/// A native SSSP on the fixture from recorded_source(), replaying
+/// graph::sssp's loop to record the pull frontier with the most vertices
+/// and the bound mask (graph::mark_sssp_settled) it runs under.
+const RecordedPull& recorded_sssp() {
+  static const RecordedPull sssp = [] {
+    const auto& f = native_fixture();
+    const Index n = f.graph.num_vertices();
+    const Index source = recorded_source();
+    runtime::EngineOptions opts;
+    opts.exec_mode = native::ExecMode::kNative;
+    runtime::Engine eng(f.prepared, f.cfg, opts);
+    const kernels::SsspSemiring sr;
+    std::vector<Value> dist(n, kernels::kInf);
+    dist[source] = 0.0;
+    sparse::SparseVector init(n);
+    init.push_back(source, 0.0);
+    auto frontier = runtime::Engine::Frontier::from_sparse(std::move(init));
+    Value xmin = 0.0;
+    std::vector<std::uint8_t> settled(n);
+    RecordedPull widest;
+    while (frontier.nnz() > 0) {
+      graph::mark_sssp_settled(dist, xmin, eng.min_weight(), settled);
+      const auto out = eng.spmv(frontier, sr, nullptr, settled);
+      if (out.dense && frontier.nnz() > widest.x.num_active) {
+        widest.x = frontier.dense ? frontier.df
+                                  : kernels::DenseFrontier::from_sparse(
+                                        frontier.sv, sr.vector_identity());
+        widest.settled = settled;
+      }
+      sparse::SparseVector next(n);
+      xmin = kernels::kInf;
+      out.for_each_touched([&](Index v, Value cand) {
+        if (!(cand < dist[v])) return;
+        dist[v] = cand;
+        next.push_back(v, cand);
+        xmin = std::min(xmin, cand);
+      });
+      frontier = runtime::Engine::Frontier::from_sparse(std::move(next));
+    }
+    return widest;
+  }();
+  return sssp;
+}
+
+/// What BM_NativePull times: a PageRank iteration with every vertex
+/// active, on the layout of its hw config, or a recorded `min` pull on the
+/// SC layout the engine hands it, under its settled mask or none.
+enum class PullCase { kPageRank, kBfs, kSssp, kSsspUnmasked };
+
+void BM_NativePull(benchmark::State& state, sim::HwConfig hw, PullCase what) {
   const auto& f = native_fixture();
   const auto& layout =
       hw == sim::HwConfig::kSCS ? f.prepared->ip_scs : f.prepared->ip_sc;
@@ -346,36 +403,56 @@ void BM_NativePull(benchmark::State& state, sim::HwConfig hw, bool bfs) {
   std::optional<sim::ParallelExecutor> exec;
   if (threads > 0) exec.emplace(threads);
   sim::ParallelExecutor* pool = exec ? &*exec : nullptr;
-  if (bfs) {
-    const RecordedBfs& rec = recorded_bfs();
+  const auto time_recorded = [&](const RecordedPull& rec, auto sr,
+                                 std::span<const std::uint8_t> settled) {
     for (auto _ : state) {
-      benchmark::DoNotOptimize(native::pull_spmv(f.cfg, hw, pool, layout,
-                                                 rec.pull,
-                                                 kernels::BfsSemiring{},
-                                                 rec.visited));
+      benchmark::DoNotOptimize(
+          native::pull_spmv(f.cfg, hw, pool, layout, rec.x, sr, settled));
     }
-    state.counters["frontier"] = static_cast<double>(rec.pull.num_active);
-    state.counters["visited"] = static_cast<double>(
-        std::count(rec.visited.begin(), rec.visited.end(), 1));
-  } else {
-    const auto x = kernels::DenseFrontier::from_dense(sparse::DenseVector(
-        f.graph.num_vertices(), 1.0 / f.graph.num_vertices()));
-    for (auto _ : state) {
-      benchmark::DoNotOptimize(native::pull_spmv(
-          f.cfg, hw, pool, layout, x, kernels::PageRankSemiring{}));
+    state.counters["frontier"] = static_cast<double>(rec.x.num_active);
+    state.counters["settled"] = static_cast<double>(
+        std::count(settled.begin(), settled.end(), 1));
+  };
+  switch (what) {
+    case PullCase::kPageRank: {
+      const auto x = kernels::DenseFrontier::from_dense(sparse::DenseVector(
+          f.graph.num_vertices(), 1.0 / f.graph.num_vertices()));
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(native::pull_spmv(
+            f.cfg, hw, pool, layout, x, kernels::PageRankSemiring{}));
+      }
+      break;
     }
+    case PullCase::kBfs:
+      time_recorded(recorded_bfs().pull, kernels::BfsSemiring{},
+                    recorded_bfs().pull.settled);
+      break;
+    case PullCase::kSssp:
+      time_recorded(recorded_sssp(), kernels::SsspSemiring{},
+                    recorded_sssp().settled);
+      break;
+    case PullCase::kSsspUnmasked:
+      time_recorded(recorded_sssp(), kernels::SsspSemiring{}, {});
+      break;
   }
   state.counters["vblocks"] = layout.num_vblocks();
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(layout.nnz()));
 }
-BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC, false)
+BENCHMARK_CAPTURE(BM_NativePull, sc, sim::HwConfig::kSC, PullCase::kPageRank)
     ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS, false)
+BENCHMARK_CAPTURE(BM_NativePull, scs, sim::HwConfig::kSCS, PullCase::kPageRank)
     ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_NativePull, bfs, sim::HwConfig::kSC, true)
+BENCHMARK_CAPTURE(BM_NativePull, bfs, sim::HwConfig::kSC, PullCase::kBfs)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePull, sssp, sim::HwConfig::kSC, PullCase::kSssp)
+    ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_NativePull, sssp_unmasked, sim::HwConfig::kSC,
+                  PullCase::kSsspUnmasked)
     ->ArgName("threads")->Arg(1)->Arg(4)->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "common/cli.h"
+#include "common/digest.h"
 #include "common/table.h"
 #include "common/threads.h"
 #include "graph/algorithms.h"
@@ -97,6 +98,10 @@ int main(int argc, char** argv) {
   obs::CpuProfileSession cpu_profile;
   cpu_profile.init(cli, "frontier_traversal");
 
+  // Bitwise digests of all three results: the sim and native runs of one
+  // graph must produce identical ones (the native byte-compare gates read
+  // this section; DESIGN.md §14).
+  Json results = Json::object();
   int exit_code = 0;
   std::cout << "Traversals on " << graph.name() << " stand-in ("
             << graph.num_vertices() << " vertices, " << graph.num_edges()
@@ -116,6 +121,11 @@ int main(int argc, char** argv) {
     }
     std::cout << "BFS from vertex " << source << ": reached " << reached
               << " vertices, eccentricity " << max_level << "\n";
+    Digest levels;
+    for (const auto l : bfs.level) {
+      levels.update_u64(static_cast<std::uint64_t>(l));
+    }
+    results["bfs_levels_digest"] = levels.hex();
     print_iterations(bfs.stats);
     std::cout << "total " << bfs.stats.cycles / 1000 << " Kcycles, "
               << bfs.stats.sw_switches() << " dataflow switches, "
@@ -129,6 +139,9 @@ int main(int argc, char** argv) {
                            obs_opts);
     if (profile) engine.machine().set_profiler(&profiler);
     const auto cc = graph::connected_components(engine);
+    Digest components;
+    for (const Index c : cc.component) components.update_index(c);
+    results["cc_components_digest"] = components.hex();
     std::cout << "Connected components: " << cc.num_components
               << " components in " << cc.stats.iterations
               << " label-propagation iterations, "
@@ -149,6 +162,9 @@ int main(int argc, char** argv) {
     }
     std::cout << "SSSP from vertex " << source << ": reached " << reached
               << " vertices, farthest distance " << max_dist << "\n";
+    Digest distances;
+    for (const Value d : sssp.dist) distances.update_value(d);
+    results["sssp_dist_digest"] = distances.hex();
     print_iterations(sssp.stats);
     std::cout << "total " << sssp.stats.cycles / 1000 << " Kcycles, "
               << sssp.stats.sw_switches() << " dataflow switches, "
@@ -171,6 +187,7 @@ int main(int argc, char** argv) {
       dataset["edges"] = graph.num_edges();
       dataset["seed"] = seed;
       report.set("dataset", std::move(dataset));
+      report.set("results", std::move(results));
       report.write(path);
       std::cout << "wrote run report to " << path << "\n";
     }

@@ -1,5 +1,6 @@
 #include "graph/algorithms.h"
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <string>
@@ -161,19 +162,38 @@ SsspResult sssp(Engine& eng, Index source, std::uint32_t max_iterations) {
   init.push_back(source, 0.0);
   Engine::Frontier f = Engine::Frontier::from_sparse(std::move(init));
 
+  // The vertices no candidate can improve (mark_sssp_settled), passed to
+  // spmv() as settled rows. Rebuilt every iteration, pull or not: only
+  // the engine knows which it will run.
+  std::vector<std::uint8_t> settled(n, 0);
+  Value xmin = 0.0;  // the frontier's smallest value: the source's distance
+
   const kernels::SsspSemiring sr;
   for (std::uint32_t it = 0; it < max_iterations && f.nnz() > 0; ++it) {
-    const auto out = eng.spmv(f, sr);
+    mark_sssp_settled(res.dist, xmin, eng.min_weight(), settled);
+    const auto out = eng.spmv(f, sr, nullptr, settled);
     // Apply (the min(..., V_dst) half of Table I's Matrix_Op): keep only
     // real improvements; improved vertices form the next frontier.
+    xmin = kernels::kInf;
     f = apply_frontier(eng, out, sr, [&](Index v, Value& cand) {
       if (!(cand < res.dist[v])) return false;
       res.dist[v] = cand;
+      xmin = std::min(xmin, cand);
       return true;
     });
   }
   res.stats = run.finish();
   return res;
+}
+
+void mark_sssp_settled(std::span<const Value> dist, Value frontier_min,
+                       Value min_weight, std::span<std::uint8_t> settled) {
+  COSPARSE_REQUIRE(settled.size() == dist.size(),
+                   "SSSP settled mask/distance count mismatch");
+  const Value bound = frontier_min + min_weight;
+  for (std::size_t v = 0; v < dist.size(); ++v) {
+    settled[v] = dist[v] <= bound ? 1 : 0;
+  }
 }
 
 PageRankResult pagerank(Engine& eng, std::span<const Index> out_degrees,

@@ -60,6 +60,13 @@ struct SsspResult {
 SsspResult sssp(runtime::Engine& eng, Index source,
                 std::uint32_t max_iterations = 0);
 
+/// The rows sssp() hands Engine::spmv as settled: settled[v] = 1 when
+/// dist[v] <= fl(frontier_min + min_weight), else 0. Every candidate
+/// x + w has x >= frontier_min and w >= min_weight, and IEEE addition is
+/// monotone, so the apply would reject v anyway (DESIGN.md §14 item 9).
+void mark_sssp_settled(std::span<const Value> dist, Value frontier_min,
+                       Value min_weight, std::span<std::uint8_t> settled);
+
 // ---------------- PageRank ----------------
 
 struct PageRankOptions {

@@ -169,8 +169,10 @@ std::vector<sparse::VectorEntry> scatter_stripe(
 /// vblocked); `exec` (optional, not owned) parallelizes over tiles/PEs.
 /// A selecting reduction runs gather_rows, which needs a single-vblock
 /// layout (throws otherwise) and skips the rows `settled` (empty, or one
-/// byte per row) names; every other semiring runs the shared loop and
-/// computes every row.
+/// byte per row) names: a nonzero byte promises that the row's output
+/// cannot change the caller's result, so the row stays at reduce_identity
+/// and untouched. Every other semiring runs the shared loop and computes
+/// every row.
 template <kernels::Semiring S>
 kernels::IpResult pull_spmv(const sim::SystemConfig& cfg, sim::HwConfig hw,
                             sim::ParallelExecutor* exec,

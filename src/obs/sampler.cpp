@@ -15,13 +15,15 @@
 #include "common/error.h"
 #include "obs/flame.h"
 
-#if defined(__linux__) || defined(__APPLE__)
-#define COSPARSE_SAMPLER_POSIX 1
+#if defined(__linux__)
+#define COSPARSE_SAMPLER_LINUX 1
 #include <cxxabi.h>
 #include <dlfcn.h>
 #include <execinfo.h>
+#include <pthread.h>
 #include <signal.h>
-#include <sys/time.h>
+#include <time.h>
+#include <unistd.h>
 #endif
 
 namespace cosparse::obs {
@@ -63,11 +65,23 @@ struct ThreadState {
   /// before freeing it (Dekker-style: handler stores in_handler then
   /// loads g_active; stop() stores g_active then loads in_handler).
   std::atomic<bool> in_handler{false};
+
+#ifdef COSPARSE_SAMPLER_LINUX
+  // ---- the thread's CPU-time timer, guarded by registry_mutex() ----
+  pthread_t thread{};
+  pid_t tid = 0;
+  bool alive = true;  ///< false once the thread's exit hook ran
+  bool timed = false;  ///< `timer` exists
+  timer_t timer{};
+#endif
 };
 
 std::atomic<bool> g_active{false};
 std::atomic<std::uint32_t> g_capacity{0};
-/// Samples landing on threads that never pushed a PhaseScope (no state).
+std::atomic<std::uint32_t> g_period_us{0};
+/// SIGPROFs landing on threads that never pushed a PhaseScope (no state):
+/// our timers only signal registered threads, so these were sent by
+/// someone else.
 std::atomic<std::uint64_t> g_orphan_drops{0};
 
 std::mutex& registry_mutex() {
@@ -91,15 +105,83 @@ void arm_ring_locked(ThreadState* ts, std::uint32_t capacity) {
   ts->ring.store(storage, std::memory_order_release);
 }
 
+#ifdef COSPARSE_SAMPLER_LINUX
+
+/// Arms a timer on the thread's own CPU clock that sends SIGPROF to that
+/// thread every `period_us` of its CPU time. One timer per thread, not one
+/// per process: a process-wide ITIMER_PROF is checked against the summed
+/// CPU time of all threads but fires at most once per tick, so it loses
+/// most of its samples once several threads run.
+bool arm_timer_locked(ThreadState* ts, std::uint32_t period_us) {
+  if (ts->timed || !ts->alive) return ts->timed;
+  clockid_t clock;
+  if (pthread_getcpuclockid(ts->thread, &clock) != 0) return false;
+  sigevent ev;
+  std::memset(&ev, 0, sizeof ev);
+  ev.sigev_notify = SIGEV_THREAD_ID;
+  ev.sigev_signo = SIGPROF;
+  ev._sigev_un._tid = ts->tid;  // sigev_notify_thread_id
+  timer_t timer;
+  if (timer_create(clock, &ev, &timer) != 0) return false;
+  itimerspec spec;
+  spec.it_interval.tv_sec = static_cast<time_t>(period_us / 1000000u);
+  spec.it_interval.tv_nsec = static_cast<long>(period_us % 1000000u) * 1000;
+  spec.it_value = spec.it_interval;
+  if (timer_settime(timer, 0, &spec, nullptr) != 0) {
+    timer_delete(timer);
+    return false;
+  }
+  ts->timer = timer;
+  ts->timed = true;
+  return true;
+}
+
+void delete_timer_locked(ThreadState* ts) {
+  if (!ts->timed) return;
+  timer_delete(ts->timer);
+  ts->timed = false;
+}
+
+/// Runs at thread exit: the thread's timer goes with it, and start() no
+/// longer asks for the CPU clock of a thread that is gone.
+struct ThreadExitHook {
+  ThreadState* state = nullptr;
+  ~ThreadExitHook() {
+    if (state == nullptr) return;
+    std::lock_guard<std::mutex> lock(registry_mutex());
+    state->alive = false;
+    delete_timer_locked(state);
+  }
+};
+thread_local ThreadExitHook t_exit_hook;
+
+/// Records which thread `ts` samples and hooks the thread's exit.
+void bind_to_calling_thread(ThreadState* ts) {
+  ts->thread = pthread_self();
+  ts->tid = gettid();
+  t_exit_hook.state = ts;
+}
+
+#else  // !COSPARSE_SAMPLER_LINUX
+
+void bind_to_calling_thread(ThreadState*) {}
+bool arm_timer_locked(ThreadState*, std::uint32_t) { return false; }
+void delete_timer_locked(ThreadState*) {}
+
+#endif  // COSPARSE_SAMPLER_LINUX
+
 ThreadState* register_thread() {
   auto* ts = new ThreadState();
+  bind_to_calling_thread(ts);
   {
     std::lock_guard<std::mutex> lock(registry_mutex());
     registry().push_back(ts);
-    // A profiler may already be running: arm this thread's ring now so
-    // its samples are captured instead of dropped.
-    if (g_active.load(std::memory_order_relaxed))
+    // A profiler may already be running: arm this thread's ring and timer
+    // now so its samples are captured instead of dropped.
+    if (g_active.load(std::memory_order_relaxed)) {
       arm_ring_locked(ts, g_capacity.load(std::memory_order_relaxed));
+      arm_timer_locked(ts, g_period_us.load(std::memory_order_relaxed));
+    }
   }
   t_state = ts;
   return ts;
@@ -107,7 +189,7 @@ ThreadState* register_thread() {
 
 }  // namespace
 
-#ifdef COSPARSE_SAMPLER_POSIX
+#ifdef COSPARSE_SAMPLER_LINUX
 
 // External linkage under a unique name so harvest can filter the
 // handler's own frames out of symbolized stacks by name.
@@ -145,7 +227,7 @@ extern "C" void cosparse_sigprof_handler(int /*signum*/) {
   errno = saved_errno;
 }
 
-#endif  // COSPARSE_SAMPLER_POSIX
+#endif  // COSPARSE_SAMPLER_LINUX
 
 const char* intern_phase_tag(const std::string& tag) {
   static std::mutex m;
@@ -209,14 +291,14 @@ bool SampleProfiler::any_active() {
 }
 
 bool SampleProfiler::platform_supported() {
-#ifdef COSPARSE_SAMPLER_POSIX
+#ifdef COSPARSE_SAMPLER_LINUX
   return true;
 #else
   return false;
 #endif
 }
 
-#ifdef COSPARSE_SAMPLER_POSIX
+#ifdef COSPARSE_SAMPLER_LINUX
 
 namespace {
 
@@ -307,26 +389,29 @@ bool SampleProfiler::start() {
   if (t_state == nullptr) register_thread();
 
   g_capacity.store(opts_.max_samples_per_thread, std::memory_order_relaxed);
+  g_period_us.store(opts_.period_us, std::memory_order_relaxed);
   g_orphan_at_start = g_orphan_drops.load(std::memory_order_relaxed);
-  {
-    std::lock_guard<std::mutex> lock(registry_mutex());
-    for (ThreadState* ts : registry())
-      arm_ring_locked(ts, opts_.max_samples_per_thread);
-  }
   num_samples_ = 0;
   dropped_ = 0;
   num_threads_ = 0;
   stacks_.clear();
-  g_active.store(true, std::memory_order_seq_cst);
-
-  struct itimerval timer;
-  timer.it_interval.tv_sec = static_cast<time_t>(opts_.period_us / 1000000u);
-  timer.it_interval.tv_usec =
-      static_cast<suseconds_t>(opts_.period_us % 1000000u);
-  timer.it_value = timer.it_interval;
-  if (setitimer(ITIMER_PROF, &timer, nullptr) != 0) {
-    g_active.store(false, std::memory_order_seq_cst);
-    return false;
+  {
+    // Under the registry lock, so a thread registering meanwhile either
+    // is armed here or sees g_active and arms itself.
+    std::lock_guard<std::mutex> lock(registry_mutex());
+    for (ThreadState* ts : registry())
+      arm_ring_locked(ts, opts_.max_samples_per_thread);
+    g_active.store(true, std::memory_order_seq_cst);
+    bool armed = true;
+    for (ThreadState* ts : registry()) {
+      const bool ok = arm_timer_locked(ts, opts_.period_us);
+      armed = armed && (ok || ts != t_state);  // the caller's must arm
+    }
+    if (!armed) {
+      g_active.store(false, std::memory_order_seq_cst);
+      for (ThreadState* ts : registry()) delete_timer_locked(ts);
+      return false;
+    }
   }
   running_ = true;
   return true;
@@ -336,18 +421,14 @@ void SampleProfiler::stop() {
   if (!running_) return;
   running_ = false;
 
-  struct itimerval off;
-  std::memset(&off, 0, sizeof off);
-  setitimer(ITIMER_PROF, &off, nullptr);
-
-  // From here no handler invocation touches any ring (Dekker pairing
-  // with the handler's in_handler/g_active protocol); wait out the ones
-  // already past the check before freeing storage.
-  g_active.store(false, std::memory_order_seq_cst);
-
   std::map<std::string, std::uint64_t> folded;
   {
     std::lock_guard<std::mutex> lock(registry_mutex());
+    for (ThreadState* ts : registry()) delete_timer_locked(ts);
+    // From here no handler invocation touches any ring (Dekker pairing
+    // with the handler's in_handler/g_active protocol); wait out the ones
+    // already past the check before freeing storage.
+    g_active.store(false, std::memory_order_seq_cst);
     for (ThreadState* ts : registry()) {
       while (ts->in_handler.load(std::memory_order_seq_cst)) {
         // Spin: handlers are a few microseconds.
@@ -390,12 +471,12 @@ void SampleProfiler::stop() {
   stacks_.assign(folded.begin(), folded.end());
 }
 
-#else  // !COSPARSE_SAMPLER_POSIX
+#else  // !COSPARSE_SAMPLER_LINUX
 
 bool SampleProfiler::start() { return false; }
 void SampleProfiler::stop() { running_ = false; }
 
-#endif  // COSPARSE_SAMPLER_POSIX
+#endif  // COSPARSE_SAMPLER_LINUX
 
 std::string SampleProfiler::folded() const {
   // "(dropped)" sorts before every phase frame, so the text stays sorted.

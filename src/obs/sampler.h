@@ -2,8 +2,9 @@
 //
 // Everything observability built so far explains *simulated* time (cycles,
 // misses, telemetry percentiles); this file explains *host* time — where
-// the simulator/runtime itself spends CPU. A SampleProfiler arms
-// ITIMER_PROF so the kernel delivers SIGPROF at a fixed CPU-time cadence;
+// the simulator/runtime itself spends CPU. A SampleProfiler arms one timer
+// per registered thread on that thread's CPU clock, so the kernel delivers
+// SIGPROF to each thread at a fixed cadence of its own CPU time;
 // the async-signal-safe handler captures a raw backtrace plus the calling
 // thread's *phase-tag stack* — a tiny thread-local stack of interned
 // strings pushed by PhaseScope where the code enters a logical phase
@@ -90,8 +91,9 @@ struct SampleProfilerOptions {
 };
 
 /// The profiler itself. One instance may be active per process at a time
-/// (ITIMER_PROF is process-wide); start() fails rather than preempting an
-/// already-running instance. Typical use is via CpuProfileSession below.
+/// (the handler and the sample rings are process-wide); start() fails
+/// rather than preempting an already-running instance. Typical use is via
+/// CpuProfileSession below.
 class SampleProfiler {
  public:
   static constexpr int kMaxFrames = 24;  ///< raw PCs kept per sample

@@ -23,6 +23,9 @@ std::shared_ptr<const PreparedMatrix> prepare_matrix(
   p->nnz_balanced = nnz_balanced;
   const sparse::Coo mt = sparse::transpose(adjacency);
   p->density = mt.density();
+  for (const sparse::Triplet& t : mt.triplets()) {
+    p->min_weight = std::min(p->min_weight, t.value);
+  }
   p->ip_sc = kernels::IpPartitionedMatrix::build(mt, p->num_pes, 0,
                                                  nnz_balanced);
   p->ip_scs = kernels::IpPartitionedMatrix::build(mt, p->num_pes,

@@ -108,6 +108,10 @@ struct PreparedMatrix {
   Index vblock_cols = 0;  ///< requested SCS vblock width; 0 = unblocked
   bool nnz_balanced = true;
   double density = 0.0;
+  /// The lightest stored value of G^T (+inf when it stores none). Every
+  /// SSSP candidate x + w is at least x_min + min_weight, which bounds the
+  /// rows a pull can improve (graph::sssp; DESIGN.md §14 item 9).
+  Value min_weight = kernels::kInf;
   // Two IP layouts stay resident: SC streams plain nnz-balanced row
   // partitions, SCS needs the vblocked ordering so the vector segment of
   // the active vblock fits the tile scratchpad (paper Fig. 3). Keeping
@@ -211,8 +215,8 @@ class Engine {
 
   /// The per-iteration CoSPARSE SpMV (see file comment). `dst_old` supplies
   /// V_dst for semirings with kUsesDst (CF). `settled` is empty or holds
-  /// one byte per row; a nonzero byte promises the caller will not read
-  /// that row of the output, so a native pull may leave it at
+  /// one byte per row; a nonzero byte promises that the row's output cannot
+  /// change the caller's result, so a native pull may leave it at
   /// reduce_identity and untouched (DESIGN.md §14). Only a selecting
   /// reduction's native pull skips them; sim mode and every other kernel
   /// compute every row.
@@ -229,6 +233,7 @@ class Engine {
 
   [[nodiscard]] Index dimension() const { return prepared_->ip_sc.rows(); }
   [[nodiscard]] double matrix_density() const { return prepared_->density; }
+  [[nodiscard]] Value min_weight() const { return prepared_->min_weight; }
   [[nodiscard]] const sim::SystemConfig& system() const {
     return machine_.config();
   }

@@ -58,7 +58,7 @@ Json run_report(std::uint32_t threads) {
 
 TEST(CpuProfileNeutrality, ResultsSubsetIsByteIdenticalWithProfilingOn) {
   if (!obs::SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   const Json off = run_report(0);
 
@@ -66,7 +66,7 @@ TEST(CpuProfileNeutrality, ResultsSubsetIsByteIdenticalWithProfilingOn) {
   ASSERT_TRUE(profiler.start());
   Json on = run_report(0);
   // Keep the timer window open long enough to guarantee deliveries even
-  // on hosts where ITIMER_PROF fires at jiffy resolution (~100 Hz) — the
+  // on hosts where CPU timers fire at jiffy resolution (~100 Hz) — the
   // engine run alone is only a few milliseconds of CPU.
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(150);
@@ -88,7 +88,7 @@ TEST(CpuProfileNeutrality, ResultsSubsetIsByteIdenticalWithProfilingOn) {
 
 TEST(CpuProfileNeutrality, ParallelEngineStaysBitNeutralUnderSampling) {
   if (!obs::SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   const Json off_serial = run_report(0);
   for (const std::uint32_t threads : {1u, 2u, 4u}) {

@@ -30,6 +30,7 @@
 #include "kernels/partition.h"
 #include "kernels/semiring.h"
 #include "native/spmv.h"
+#include "pull_differential.h"
 #include "runtime/engine.h"
 #include "sim/machine.h"
 #include "sim/parallel.h"
@@ -225,70 +226,6 @@ void PrintTo(const StandIn& s, std::ostream* os) {
 
 class GatherPullDifferential : public ::testing::TestWithParam<StandIn> {
  protected:
-  /// `pinned` fixes every iteration to the pull on that config; otherwise
-  /// the engine decides per iteration.
-  static Engine engine(const sparse::Coo& adj, native::ExecMode mode,
-                       std::uint32_t threads,
-                       std::optional<sim::HwConfig> pinned) {
-    runtime::EngineOptions opts;
-    opts.exec_mode = mode;
-    opts.sim_threads = threads;
-    if (pinned) {
-      opts.sw_reconfig = false;
-      opts.hw_reconfig = false;
-      opts.fixed_sw = runtime::SwConfig::kIP;
-      opts.fixed_hw = *pinned;
-    }
-    return Engine(adj, kSys, opts);
-  }
-
-  /// Per-iteration decisions and frontier sizes, mode-independent.
-  static std::string decisions(const Engine& eng) {
-    std::string s;
-    for (const auto& r : eng.iterations()) {
-      s += std::string(runtime::to_string(r.sw)) + sim::to_string(r.hw) +
-           ":" + std::to_string(r.frontier_nnz) + " ";
-    }
-    return s;
-  }
-
-  /// Runs `algo` in sim mode, then native at 0, 3 and 8 host threads:
-  /// every native result, decision sequence and pull count must equal
-  /// the simulator's.
-  template <class Algo>
-  static auto check_mode(const sparse::Coo& adj, Algo algo,
-                         std::optional<sim::HwConfig> pinned) {
-    Engine sim = engine(adj, native::ExecMode::kSim, 0, pinned);
-    const auto want = algo(sim);
-    std::size_t sim_pulls = 0;
-    for (const auto& r : sim.iterations()) {
-      sim_pulls += r.sw == runtime::SwConfig::kIP ? 1 : 0;
-    }
-    EXPECT_GT(sim_pulls, 0U);
-    for (const std::uint32_t threads : {0U, 3U, 8U}) {
-      const std::string what =
-          std::string(pinned ? sim::to_string(*pinned) : "decided") + ", " +
-          std::to_string(threads) + " native threads";
-      Engine nat = engine(adj, native::ExecMode::kNative, threads, pinned);
-      EXPECT_EQ(algo(nat), want) << what;
-      EXPECT_EQ(decisions(nat), decisions(sim)) << what;
-      EXPECT_EQ(nat.native_decisions().pulls(), sim_pulls) << what;
-    }
-    return want;
-  }
-
-  /// check_mode with the engine's own decisions and pinned to the pull on
-  /// SC and on SCS, sparse frontiers included; all three must agree.
-  template <class Algo>
-  static auto check_native(const sparse::Coo& adj, Algo algo) {
-    const auto decided = check_mode(adj, algo, std::nullopt);
-    for (const auto hw : {sim::HwConfig::kSC, sim::HwConfig::kSCS}) {
-      EXPECT_EQ(check_mode(adj, algo, hw), decided)
-          << "pinned " << sim::to_string(hw) << " pull changed the result";
-    }
-    return decided;
-  }
-
   static Index hub(const sparse::Graph& g) {
     const auto& deg = g.out_degrees();
     return static_cast<Index>(std::max_element(deg.begin(), deg.end()) -
@@ -303,9 +240,10 @@ class GatherPullDifferential : public ::testing::TestWithParam<StandIn> {
 TEST_P(GatherPullDifferential, Bfs) {
   const sparse::Graph g = load();
   const Index source = hub(g);
-  const auto levels = check_native(g.adjacency(), [&](Engine& eng) {
-    return graph::bfs(eng, source).level;
-  });
+  const auto levels =
+      harness::check_native(g.adjacency(), kSys, [&](Engine& eng) {
+        return graph::bfs(eng, source).level;
+      });
   EXPECT_EQ(levels, graph::testing::reference_bfs(g.adjacency(), source));
 }
 
@@ -314,20 +252,17 @@ TEST_P(GatherPullDifferential, Sssp) {
   const Index source = hub(g);
   // Distance bits: integer weights make every sum exact, so the
   // reference's doubles must match bit for bit too.
-  const auto bits = [](const std::vector<Value>& v) {
-    std::vector<std::uint64_t> b;
-    for (const Value d : v) b.push_back(std::bit_cast<std::uint64_t>(d));
-    return b;
-  };
-  const auto dist = check_native(g.adjacency(), [&](Engine& eng) {
-    return bits(graph::sssp(eng, source).dist);
-  });
-  EXPECT_EQ(dist, bits(graph::testing::reference_sssp(g.adjacency(), source)));
+  const auto dist =
+      harness::check_native(g.adjacency(), kSys, [&](Engine& eng) {
+        return harness::bits(graph::sssp(eng, source).dist);
+      });
+  EXPECT_EQ(dist, harness::bits(
+                      graph::testing::reference_sssp(g.adjacency(), source)));
 }
 
 TEST_P(GatherPullDifferential, Cc) {
   const sparse::Coo sym = sparse::symmetrize(load().adjacency());
-  const auto labels = check_native(sym, [](Engine& eng) {
+  const auto labels = harness::check_native(sym, kSys, [](Engine& eng) {
     return graph::connected_components(eng).component;
   });
   EXPECT_EQ(labels, graph::testing::reference_cc(sym));

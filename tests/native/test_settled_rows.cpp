@@ -1,7 +1,7 @@
 // Settled-row skipping in the pull (DESIGN.md §14 item 6). A caller may
-// declare rows it will not read; a selecting reduction's native pull
-// (native::detail::gather_rows) then skips them, every other kernel
-// ignores the declaration. Checked here: masked native `min` pulls agree
+// declare rows whose output cannot change its result; a selecting
+// reduction's native pull (native::detail::gather_rows) then skips them,
+// every other kernel ignores the declaration. Checked here: masked native `min` pulls agree
 // bit-for-bit with the simulator's unmasked pull on every unsettled row,
 // on the SC layout and on the vblocked SCS layout, and leave settled rows
 // at reduce_identity and untouched; a summing semiring's native pull

@@ -1,7 +1,7 @@
 // SampleProfiler unit tests: capture real SIGPROF samples from a busy
 // loop, check phase attribution through the thread-local tag stack, the
 // folded output format, the report JSON, and the start/stop lifecycle
-// guards. Skipped wholesale on platforms without ITIMER_PROF support.
+// guards. Skipped wholesale on platforms without per-thread CPU timers.
 #include "obs/sampler.h"
 
 #include <gtest/gtest.h>
@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <ctime>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -21,8 +22,8 @@ namespace cosparse::obs {
 namespace {
 
 /// Burns CPU until `ms` of wall time has elapsed, returning a data-dependent
-/// value so the loop cannot be optimized away. CPU time is what ITIMER_PROF
-/// meters, so a busy loop (not a sleep) is required to receive samples.
+/// value so the loop cannot be optimized away. CPU time is what the timers
+/// meter, so a busy loop (not a sleep) is required to receive samples.
 std::uint64_t burn_cpu_ms(int ms) {
   const auto until =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(ms);
@@ -35,7 +36,7 @@ std::uint64_t burn_cpu_ms(int ms) {
 
 TEST(SampleProfiler, CapturesSamplesAndAttributesPhases) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler profiler;
   ASSERT_TRUE(profiler.start());
@@ -52,8 +53,8 @@ TEST(SampleProfiler, CapturesSamplesAndAttributesPhases) {
   (void)sink;
 
   // 400 ms of CPU at the default 1 kHz period: expect at least a handful
-  // of samples even on hosts where the kernel delivers ITIMER_PROF at
-  // jiffy resolution (~100 Hz).
+  // of samples even on hosts where the kernel fires CPU timers at jiffy
+  // resolution (~100 Hz).
   EXPECT_GE(profiler.num_samples(), 5u);
   EXPECT_EQ(profiler.dropped_samples(), 0u);
   EXPECT_GE(profiler.num_threads(), 1u);
@@ -72,7 +73,7 @@ TEST(SampleProfiler, CapturesSamplesAndAttributesPhases) {
 
 TEST(SampleProfiler, FoldedOutputParsesAndNestsPhasesOutermostFirst) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler profiler;
   ASSERT_TRUE(profiler.start());
@@ -109,7 +110,7 @@ TEST(SampleProfiler, FoldedOutputParsesAndNestsPhasesOutermostFirst) {
 
 TEST(SampleProfiler, ReportJsonCarriesSchemaAndPhaseShares) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler profiler;
   ASSERT_TRUE(profiler.start());
@@ -141,7 +142,7 @@ TEST(SampleProfiler, ReportJsonCarriesSchemaAndPhaseShares) {
 
 TEST(SampleProfiler, SecondStartWhileActiveFails) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler first;
   ASSERT_TRUE(first.start());
@@ -185,7 +186,7 @@ TEST(SampleProfiler, PhaseScopesAreHarmlessWithoutAnActiveProfiler) {
 
 TEST(SampleProfiler, WorkerThreadSamplesAreHarvested) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler profiler;
   ASSERT_TRUE(profiler.start());
@@ -197,8 +198,8 @@ TEST(SampleProfiler, WorkerThreadSamplesAreHarvested) {
   worker.join();
   profiler.stop();
   (void)sink;
-  // ITIMER_PROF signals are delivered to *some* running thread; with the
-  // main thread idle (join) the worker receives nearly all of them.
+  // The worker registers on its first PhaseScope, after start(), and arms
+  // its own timer then.
   std::uint64_t worker_count = 0;
   for (const auto& [phase, count] : profiler.phase_totals()) {
     if (phase == "test.worker") worker_count = count;
@@ -207,39 +208,61 @@ TEST(SampleProfiler, WorkerThreadSamplesAreHarvested) {
   EXPECT_GE(profiler.num_threads(), 1u);
 }
 
+/// `tasks` pool tasks spinning under the phase "test.pool" from
+/// construction (which returns once all have started) to destruction, so
+/// every sample taken meanwhile is taken inside a task, never in the
+/// pool's dispatch path between tasks.
+class SpinningPool {
+ public:
+  explicit SpinningPool(std::uint32_t tasks) : pool_(tasks) {
+    submitter_ = std::thread([this, tasks] {
+      const PhaseScope phase("test.pool");
+      pool_.run(tasks, [this](std::uint32_t) {
+        started_.fetch_add(1);
+        std::uint64_t acc = 1;
+        while (!done_.load(std::memory_order_relaxed)) acc = acc * 3 + 1;
+        volatile std::uint64_t sink = acc;
+        (void)sink;
+      });
+    });
+    while (started_.load() < tasks) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  ~SpinningPool() {
+    done_.store(true);
+    submitter_.join();
+  }
+  SpinningPool(const SpinningPool&) = delete;
+  SpinningPool& operator=(const SpinningPool&) = delete;
+
+ private:
+  sim::ParallelExecutor pool_;
+  std::atomic<std::uint32_t> started_{0};
+  std::atomic<bool> done_{false};
+  std::thread submitter_;
+};
+
+/// The process's CPU time, all threads summed.
+double process_cpu_seconds() {
+  timespec ts{};
+  clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) + static_cast<double>(ts.tv_nsec) * 1e-9;
+}
+
 /// Pool workers push no tag of their own: each task runs under the
 /// submitting thread's phase stack, so every sample on a worker is kept
 /// and lands in the submitter's phase.
 TEST(SampleProfiler, PoolTasksRunUnderSubmitterPhases) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
-  constexpr std::uint32_t kTasks = 4;
-  sim::ParallelExecutor pool(kTasks);
-  std::atomic<std::uint32_t> started{0};
-  std::atomic<bool> done{false};
-  // The tasks spin until the profiler has stopped, so every sample is
-  // taken inside a task, never in the pool's dispatch path between tasks.
-  std::thread submitter([&] {
-    const PhaseScope phase("test.pool");
-    pool.run(kTasks, [&](std::uint32_t) {
-      started.fetch_add(1);
-      std::uint64_t acc = 1;
-      while (!done.load(std::memory_order_relaxed)) acc = acc * 3 + 1;
-      volatile std::uint64_t sink = acc;
-      (void)sink;
-    });
-  });
-  while (started.load() < kTasks) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  const SpinningPool pool(4);
   const PhaseScope phase("test.pool");  // this thread sleeps meanwhile
   SampleProfiler profiler;
   ASSERT_TRUE(profiler.start());
   std::this_thread::sleep_for(std::chrono::milliseconds(300));
   profiler.stop();
-  done.store(true);
-  submitter.join();
 
   EXPECT_GE(profiler.num_samples(), 5u);
   EXPECT_EQ(profiler.dropped_samples(), 0u) << profiler.folded();
@@ -248,9 +271,38 @@ TEST(SampleProfiler, PoolTasksRunUnderSubmitterPhases) {
   EXPECT_EQ(totals[0].first, "test.pool");
 }
 
+/// Samples per CPU-second of `tasks` spinning pool tasks over 500 ms.
+double pool_samples_per_cpu_second(std::uint32_t tasks) {
+  const SpinningPool pool(tasks);
+  SampleProfiler profiler;
+  EXPECT_TRUE(profiler.start());
+  const double cpu_at_start = process_cpu_seconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const double cpu = process_cpu_seconds() - cpu_at_start;
+  profiler.stop();
+  return static_cast<double>(profiler.num_samples() +
+                             profiler.dropped_samples()) /
+         cpu;
+}
+
+/// Each thread's timer runs on that thread's own CPU clock, so the sample
+/// rate per CPU-second holds as threads are added. (One process-wide
+/// timer kept 90 samples per CPU-second at 4 tasks against 233 at 1.)
+TEST(SampleProfiler, ThreadedRunsKeepTheSerialSampleRate) {
+  if (!SampleProfiler::platform_supported()) {
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
+  }
+  const double serial = pool_samples_per_cpu_second(1);
+  const double threaded = pool_samples_per_cpu_second(4);
+  ASSERT_GT(serial, 0.0);
+  EXPECT_GE(threaded, 0.8 * serial)
+      << serial << " samples per CPU-second at 1 task, " << threaded
+      << " at 4";
+}
+
 TEST(SampleProfiler, FoldedOutputRecordsDroppedSamples) {
   if (!SampleProfiler::platform_supported()) {
-    GTEST_SKIP() << "no ITIMER_PROF on this platform";
+    GTEST_SKIP() << "no per-thread CPU timers on this platform";
   }
   SampleProfiler profiler({.period_us = 1000, .max_samples_per_thread = 1});
   ASSERT_TRUE(profiler.start());
