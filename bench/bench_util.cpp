@@ -130,8 +130,8 @@ struct ObsState {
   obs::Report report{"bench"};
   std::unique_ptr<sim::MemProfiler> profiler;  ///< armed by --profile
   std::unique_ptr<sim::ParallelExecutor> executor;  ///< armed by --sim-threads
-  /// Armed by --telemetry-interval / COSPARSE_TELEMETRY (cadence,
-  /// exporter outputs, SLO watchdog).
+  /// Armed by --telemetry-interval / COSPARSE_TELEMETRY (cadence, JSONL
+  /// output, SLO watchdog).
   obs::TelemetrySession telemetry;
   /// Armed by --cpu-profile / COSPARSE_CPU_PROFILE (sampling CPU
   /// profiler; folded stacks + flamegraph + cpu_profile report section).

@@ -115,7 +115,7 @@ void report_set(const std::string& key, Json value);
 /// Folds the memory profile and, when armed, the telemetry and CPU-profile
 /// sections into the report, then writes the report to the path requested
 /// at init_observability() time (no-op when none was requested).
-/// Finalizes the telemetry session — final snapshot, exporter drain, SLO
+/// Finalizes the telemetry session — final snapshot, JSONL close, SLO
 /// verdict — and returns the exit code the binary should propagate: 0
 /// normally, 3 when --slo-strict was given and a rule was violated. Call
 /// `return bench::finish_run();` at the end of main().

@@ -10,7 +10,7 @@
 //                [--exec-mode sim|native]
 //                [--report-out run.json]
 //                [--telemetry-interval 1i --telemetry-out t.jsonl
-//                 --prom-out metrics.prom --slo 'p99.engine.iteration_ms<50']
+//                 --slo 'p99.engine.iteration_ms<50']
 #include <iostream>
 
 #include "common/cli.h"
@@ -75,7 +75,7 @@ int main(int argc, char** argv) {
           : std::optional<std::string>(cli.str("exec-mode")));
   // Continuous telemetry (off unless --telemetry-interval or
   // COSPARSE_TELEMETRY arms it): streaming histograms snapshotted to
-  // JSONL/OpenMetrics, watched by the SLO rules. Render the JSONL with
+  // JSONL, watched by the SLO rules. Render the JSONL with
   // `cosparse-prof summarize --telemetry`.
   obs::TelemetrySession telemetry;
   telemetry.init(cli, "quickstart");

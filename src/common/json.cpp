@@ -92,11 +92,27 @@ bool Json::as_bool() const {
   return std::get<bool>(v_);
 }
 
+namespace {
+
+/// [-2^63, 2^63): the doubles that convert to int64_t without overflow.
+bool in_int64_range(double d) { return d >= -0x1p63 && d < 0x1p63; }
+
+}  // namespace
+
+bool Json::is_integer() const {
+  if (type() == Type::kInt) return true;
+  if (type() != Type::kDouble) return false;
+  const double d = std::get<double>(v_);
+  return d == std::floor(d) && in_int64_range(d);
+}
+
 std::int64_t Json::as_int() const {
   if (type() == Type::kInt) return std::get<std::int64_t>(v_);
   COSPARSE_CHECK_MSG(type() == Type::kDouble, "Json::as_int on a non-number");
   const double d = std::get<double>(v_);
   COSPARSE_CHECK_MSG(d == std::floor(d), "Json::as_int on a non-integral value");
+  COSPARSE_CHECK_MSG(in_int64_range(d),
+                     "Json::as_int on a value outside the int64 range: " << d);
   return static_cast<std::int64_t>(d);
 }
 

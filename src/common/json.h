@@ -55,6 +55,9 @@ class Json {
   [[nodiscard]] bool is_number() const {
     return type() == Type::kInt || type() == Type::kDouble;
   }
+  /// kInt, or a kDouble holding an integer in the int64_t range: exactly
+  /// the values as_int() accepts.
+  [[nodiscard]] bool is_integer() const;
   [[nodiscard]] bool is_string() const { return type() == Type::kString; }
   [[nodiscard]] bool is_array() const { return type() == Type::kArray; }
   [[nodiscard]] bool is_object() const { return type() == Type::kObject; }

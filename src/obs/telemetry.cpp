@@ -9,7 +9,6 @@
 #include "common/error.h"
 #include "common/log.h"
 #include "common/threads.h"
-#include "obs/exporter.h"
 
 namespace cosparse::obs {
 
@@ -302,14 +301,15 @@ void Telemetry::take_snapshot() {
   std::vector<SloViolation> violations;
   if (watchdog_ != nullptr) violations = watchdog_->evaluate(snap);
 
-  if (exporter_ != nullptr) {
+  if (jsonl_ != nullptr) {
     Json line = snap.to_json();
     if (!violations.empty()) {
       Json arr = Json::array();
       for (const SloViolation& v : violations) arr.push_back(v.to_json());
       line["slo_violations"] = std::move(arr);
     }
-    exporter_->publish(line.dump(), to_openmetrics(snap));
+    *jsonl_ << line.dump() << '\n';
+    jsonl_->flush();  // per line, so `tail -f` sees each snapshot live
   }
 
   last_snapshot_ms_ = snap.wall_ms;
@@ -344,7 +344,6 @@ void TelemetrySession::add_cli_options(CliParser& cli) {
                  "");
   cli.add_option("telemetry-out", "telemetry JSONL time-series path",
                  "telemetry.jsonl");
-  cli.add_option("prom-out", "OpenMetrics exposition path", "metrics.prom");
   cli.add_option("slo",
                  "comma-separated SLO rules, e.g. "
                  "'p99.engine.iteration_ms<5,no_progress_ms<5000' "
@@ -352,10 +351,6 @@ void TelemetrySession::add_cli_options(CliParser& cli) {
                  "");
   cli.add_flag("slo-strict", "exit nonzero if any SLO rule is violated");
 }
-
-TelemetrySession::TelemetrySession() = default;
-
-TelemetrySession::~TelemetrySession() { finalize(); }
 
 void TelemetrySession::init(const CliParser& cli, const std::string& tool) {
   std::string spec;
@@ -370,12 +365,16 @@ void TelemetrySession::init(const CliParser& cli, const std::string& tool) {
   if (cli.has("seed")) telemetry_->set_header("seed", cli.integer("seed"));
   telemetry_->set_header("sim_threads", sim_threads_from_cli(cli).value_or(0));
 
-  ExporterOptions eopts;
-  if (cli.has("telemetry-out")) eopts.jsonl_path = cli.str("telemetry-out");
-  if (cli.has("prom-out")) eopts.prom_path = cli.str("prom-out");
-  if (!eopts.jsonl_path.empty() || !eopts.prom_path.empty()) {
-    exporter_ = std::make_unique<TelemetryExporter>(eopts);
-    telemetry_->set_exporter(exporter_.get());
+  const std::string jsonl_path =
+      cli.has("telemetry-out") ? cli.str("telemetry-out") : "";
+  if (!jsonl_path.empty()) {
+    jsonl_.open(jsonl_path, std::ios::out | std::ios::trunc);
+    if (jsonl_) {
+      telemetry_->set_jsonl_sink(&jsonl_);
+    } else {
+      log::warn("telemetry: cannot open JSONL output",
+                log::kv("path", jsonl_path));
+    }
   }
 
   std::string rules;
@@ -396,7 +395,7 @@ int TelemetrySession::finalize() {
   if (finalized_) return exit_code_;
   finalized_ = true;
   if (telemetry_ != nullptr) telemetry_->flush();
-  if (exporter_ != nullptr) exporter_->stop();
+  if (jsonl_.is_open()) jsonl_.close();
   if (strict_ && watchdog_ != nullptr && watchdog_->tripped()) {
     log::error("exiting nonzero: --slo-strict with ",
                watchdog_->violations().size(), " SLO violation(s)");

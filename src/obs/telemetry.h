@@ -1,5 +1,5 @@
 // Continuous telemetry: streaming histograms sampled into periodic
-// snapshots, evaluated against SLO rules and handed to an exporter.
+// snapshots, evaluated against SLO rules and appended to a JSONL stream.
 //
 // Everything observability built before this file is *batch* — metrics
 // and run reports materialize only after a run finishes. The
@@ -9,22 +9,22 @@
 // (--telemetry-interval / COSPARSE_TELEMETRY) a TelemetrySnapshot — the
 // percentile digests of every histogram plus a self-describing header
 // (tool, seed, sim-threads, interval) — is taken, checked by the
-// SloWatchdog, and published to the TelemetryExporter (obs/exporter.h) as
-// one JSONL line and an OpenMetrics exposition. `cosparse-prof summarize
-// --telemetry` renders the JSONL stream and `cosparse-lint telemetry`
-// validates it.
+// SloWatchdog, and written to the JSONL sink as one line, flushed so
+// `tail -f` sees it live. `cosparse-prof summarize --telemetry` renders
+// the JSONL stream and `cosparse-lint telemetry` validates it.
 //
-// Threading contract: histograms are observed and snapshots taken on the
-// producing thread only (the simulation is single-threaded outside tile
-// phases, and tile-phase timings are folded in after the phase joins), so
-// the hot path takes no locks; the exporter's background thread only ever
-// sees fully-built snapshot strings. Telemetry reads the host wall clock
-// and simulator state but never writes simulator state, so enabling it
-// cannot change simulated results — the differential harness enforces
-// this bit-neutrality.
+// Threading contract: histograms are observed, snapshots taken and JSONL
+// lines written on the producing thread only (the simulation is
+// single-threaded outside tile phases, and tile-phase timings are folded
+// in after the phase joins), so telemetry takes no locks and starts no
+// thread. The self-reported "telemetry.overhead_ms" therefore includes
+// the write. Telemetry reads the host wall clock and simulator state but
+// never writes simulator state, so enabling it cannot change simulated
+// results — the differential harness enforces this bit-neutrality.
 #pragma once
 
 #include <cstdint>
+#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -37,8 +37,6 @@
 #include "obs/histogram.h"
 
 namespace cosparse::obs {
-
-class TelemetryExporter;
 
 inline constexpr std::string_view kTelemetrySchema = "cosparse.telemetry/v1";
 
@@ -141,7 +139,7 @@ class SloWatchdog {
 
 class Telemetry {
  public:
-  /// Milliseconds-since-start clock; injectable so exporter/golden tests
+  /// Milliseconds-since-start clock; injectable so the JSONL golden tests
   /// are deterministic. The default reads std::chrono::steady_clock.
   using NowFn = std::function<double()>;
 
@@ -163,8 +161,9 @@ class Telemetry {
   void set_header(const std::string& key, Json value);
   [[nodiscard]] const Json& header() const { return header_; }
 
-  /// Sinks (not owned; must outlive the Telemetry while attached).
-  void set_exporter(TelemetryExporter* exporter) { exporter_ = exporter; }
+  /// Sinks (not owned; must outlive the Telemetry while attached). Each
+  /// snapshot appends one JSONL line to `out` and flushes it.
+  void set_jsonl_sink(std::ostream* out) { jsonl_ = out; }
   void set_watchdog(SloWatchdog* watchdog) { watchdog_ = watchdog; }
   [[nodiscard]] SloWatchdog* watchdog() const { return watchdog_; }
 
@@ -194,7 +193,7 @@ class Telemetry {
   NowFn now_ms_;
   std::map<std::string, std::unique_ptr<StreamingHistogram>> histograms_;
   Json header_ = Json::object();
-  TelemetryExporter* exporter_ = nullptr;
+  std::ostream* jsonl_ = nullptr;
   SloWatchdog* watchdog_ = nullptr;
   std::uint64_t seq_ = 0;
   std::uint64_t last_iterations_ = 0;
@@ -204,20 +203,17 @@ class Telemetry {
 
 // ---- per-binary wiring ----
 
-/// Owns the Telemetry + exporter + watchdog trio for one binary and wires
-/// them from the standard CLI options / environment. Disabled (armed() ==
+/// Owns the Telemetry, its JSONL file and its watchdog for one binary and
+/// wires them from the standard CLI options / environment. Disabled (armed() ==
 /// false) unless --telemetry-interval or COSPARSE_TELEMETRY is given.
 class TelemetrySession {
  public:
-  /// Registers --telemetry-interval, --telemetry-out, --prom-out, --slo
-  /// and --slo-strict on `cli`. Call before cli.parse().
+  /// Registers --telemetry-interval, --telemetry-out, --slo and
+  /// --slo-strict on `cli`. Call before cli.parse().
   static void add_cli_options(CliParser& cli);
 
-  // Defined in telemetry.cpp, where TelemetryExporter is complete (the
-  // unique_ptr members need its destructor even for the default ctor's
-  // unwind path).
-  TelemetrySession();
-  ~TelemetrySession();
+  TelemetrySession() = default;
+  ~TelemetrySession() { finalize(); }
 
   TelemetrySession(const TelemetrySession&) = delete;
   TelemetrySession& operator=(const TelemetrySession&) = delete;
@@ -232,14 +228,14 @@ class TelemetrySession {
   /// nullptr when not armed — pass directly to EngineOptions::telemetry.
   [[nodiscard]] Telemetry* telemetry() { return telemetry_.get(); }
 
-  /// Final snapshot, exporter drain + shutdown, SLO verdict. Returns the
-  /// process exit code the binary should propagate: 0 normally, 3 when
+  /// Final snapshot, JSONL file close, SLO verdict. Returns the process
+  /// exit code the binary should propagate: 0 normally, 3 when
   /// --slo-strict was given and any rule was violated. Idempotent.
   int finalize();
 
  private:
   std::unique_ptr<Telemetry> telemetry_;
-  std::unique_ptr<TelemetryExporter> exporter_;
+  std::ofstream jsonl_;
   std::unique_ptr<SloWatchdog> watchdog_;
   bool strict_ = false;
   bool finalized_ = false;

@@ -37,14 +37,26 @@ void lint_stats(const Json& doc, std::vector<Finding>& out) {
   // The element-wise sum over tiles must reproduce the global stats:
   // exactly for integer counters, to rounding for cycle doubles.
   for (const auto& [name, global] : stats->members()) {
+    if (!global.is_number()) {
+      emit(out, "report.bad-value", Severity::kError,
+           "stats counter is not a number: " + name, "stats." + name);
+      continue;
+    }
     bool missing = false;
     if (global.type() == Json::Type::kInt) {
       std::int64_t sum = 0;
-      for (const Json& tile : tiles->items()) {
-        const Json* v = tile.find(name);
+      for (std::size_t i = 0; i < tiles->size(); ++i) {
+        const Json* v = tiles->at(i).find(name);
         if (v == nullptr) {
           emit(out, "report.missing-counter", Severity::kError,
                "tile_stats missing counter: " + name, "tile_stats." + name);
+          missing = true;
+          break;
+        }
+        if (!v->is_integer()) {
+          emit(out, "report.bad-value", Severity::kError,
+               "tile counter is not an integer: " + name,
+               "tile_stats[" + std::to_string(i) + "]." + name);
           missing = true;
           break;
         }
@@ -57,11 +69,18 @@ void lint_stats(const Json& doc, std::vector<Finding>& out) {
       }
     } else {
       double sum = 0.0;
-      for (const Json& tile : tiles->items()) {
-        const Json* v = tile.find(name);
+      for (std::size_t i = 0; i < tiles->size(); ++i) {
+        const Json* v = tiles->at(i).find(name);
         if (v == nullptr) {
           emit(out, "report.missing-counter", Severity::kError,
                "tile_stats missing counter: " + name, "tile_stats." + name);
+          missing = true;
+          break;
+        }
+        if (!v->is_number()) {
+          emit(out, "report.bad-value", Severity::kError,
+               "tile counter is not a number: " + name,
+               "tile_stats[" + std::to_string(i) + "]." + name);
           missing = true;
           break;
         }
@@ -151,6 +170,13 @@ void lint_memory_profile(const Json& doc, std::vector<Finding>& out) {
           missing = true;
           break;
         }
+        if (!v->is_integer()) {
+          emit(out, "report.bad-value", Severity::kError,
+               "memory_profile region counter is not an integer: " + name,
+               "memory_profile.regions." + label + ".counters." + name);
+          missing = true;
+          break;
+        }
         sum += v->as_int();
       }
       if (!missing && sum != total.as_int()) {
@@ -205,8 +231,13 @@ void lint_decision_audit(const Json& doc, std::vector<Finding>& out) {
       }
     }
     if (!complete) continue;
-    if (static_cast<std::uint32_t>(rec.find("invocation")->as_int()) !=
-        expected++) {
+    const Json* invocation = rec.find("invocation");
+    if (!invocation->is_integer()) {
+      emit(out, "report.bad-value", Severity::kError,
+           "decision record invocation is not an integer",
+           path + ".invocation");
+      ++expected;
+    } else if (invocation->as_int() != expected++) {
       emit(out, "report.bad-value", Severity::kError,
            "decision records are not sequentially numbered",
            path + ".invocation");
@@ -220,12 +251,19 @@ void lint_decision_audit(const Json& doc, std::vector<Finding>& out) {
     }
     std::size_t chosen = 0;
     bool have_flags = true;
-    for (const Json& cf : cfs->items()) {
-      const Json* flag = cf.find("chosen");
+    for (std::size_t i = 0; i < cfs->size(); ++i) {
+      const Json* flag = cfs->at(i).find("chosen");
       if (flag == nullptr) {
         emit(out, "report.missing-field", Severity::kError,
              "counterfactual missing field: chosen",
              path + ".counterfactuals");
+        have_flags = false;
+        break;
+      }
+      if (!flag->is_bool()) {
+        emit(out, "report.bad-value", Severity::kError,
+             "counterfactual chosen is not a bool",
+             path + ".counterfactuals[" + std::to_string(i) + "].chosen");
         have_flags = false;
         break;
       }

@@ -1,6 +1,5 @@
 #include "verify/telemetry_lint.h"
 
-#include <cctype>
 #include <sstream>
 
 #include "common/error.h"
@@ -169,7 +168,10 @@ std::vector<Finding> lint_telemetry_jsonl(const std::string& text) {
     // Monotonicity across the stream: strictly increasing seq, monotone
     // wall clock and iteration progress.
     const Json* seq = snap.find("seq");
-    if (seq != nullptr && seq->is_number()) {
+    if (seq != nullptr && seq->is_number() && !seq->is_integer()) {
+      emit(out, "telemetry.bad-value", Severity::kError,
+           "snapshot seq is not an integer", path + ".seq");
+    } else if (seq != nullptr && seq->is_number()) {
       if (seq->as_int() <= last_seq) {
         emit(out, "telemetry.seq-not-increasing", Severity::kError,
              "snapshot seq does not strictly increase", path + ".seq");
@@ -196,90 +198,6 @@ std::vector<Finding> lint_telemetry_jsonl(const std::string& text) {
   if (snapshots == 0) {
     emit(out, "telemetry.empty-stream", Severity::kError,
          "telemetry JSONL stream holds no snapshots", "(root)");
-  }
-  return out;
-}
-
-std::vector<Finding> lint_openmetrics(const std::string& text) {
-  std::vector<Finding> out;
-  std::istringstream in(text);
-  std::string line;
-  std::size_t line_no = 0;
-  bool saw_eof = false;
-  bool saw_sample = false;
-  const auto name_ok = [](const std::string& name) {
-    if (name.empty()) return false;
-    for (const char c : name) {
-      const bool ok = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') ||
-                      (c >= '0' && c <= '9') || c == '_' || c == ':';
-      if (!ok) return false;
-    }
-    return !(name[0] >= '0' && name[0] <= '9');
-  };
-  while (std::getline(in, line)) {
-    ++line_no;
-    const std::string path = "line[" + std::to_string(line_no) + "]";
-    if (line.empty()) continue;
-    if (saw_eof) {
-      emit(out, "openmetrics.text-after-eof", Severity::kError,
-           "content after the # EOF terminator", path);
-      break;
-    }
-    if (line[0] == '#') {
-      if (line == "# EOF") {
-        saw_eof = true;
-        continue;
-      }
-      std::istringstream comment(line);
-      std::string hash, kind, name, type;
-      comment >> hash >> kind >> name >> type;
-      if (kind == "TYPE") {
-        if (!name_ok(name)) {
-          emit(out, "openmetrics.bad-name", Severity::kError,
-               "TYPE names an invalid metric: " + name, path);
-        }
-        if (type != "counter" && type != "gauge" && type != "summary" &&
-            type != "histogram" && type != "info" && type != "unknown") {
-          emit(out, "openmetrics.bad-type", Severity::kError,
-               "unknown metric type: " + type, path);
-        }
-      }
-      continue;
-    }
-    // Sample line: <name>[{labels}] <value>
-    saw_sample = true;
-    std::string name = line.substr(0, line.find_first_of("{ "));
-    if (!name_ok(name)) {
-      emit(out, "openmetrics.bad-name", Severity::kError,
-           "sample has an invalid metric name: " + name, path);
-      continue;
-    }
-    const std::size_t sp = line.find_last_of(' ');
-    if (sp == std::string::npos || sp + 1 >= line.size()) {
-      emit(out, "openmetrics.bad-sample", Severity::kError,
-           "sample line carries no value", path);
-      continue;
-    }
-    const std::string value = line.substr(sp + 1);
-    std::size_t used = 0;
-    bool numeric = true;
-    try {
-      (void)std::stod(value, &used);
-    } catch (const std::exception&) {
-      numeric = false;
-    }
-    if (!numeric || used != value.size()) {
-      emit(out, "openmetrics.bad-value", Severity::kError,
-           "sample value is not a number: " + value, path);
-    }
-  }
-  if (!saw_eof) {
-    emit(out, "openmetrics.missing-eof", Severity::kError,
-         "exposition does not end with # EOF", "(root)");
-  }
-  if (!saw_sample) {
-    emit(out, "openmetrics.empty", Severity::kWarning,
-         "exposition carries no samples", "(root)");
   }
   return out;
 }

@@ -1,14 +1,13 @@
 // Pass: telemetry lint.
 //
-// Three related validators for the continuous-telemetry pipeline
+// Two related validators for the continuous-telemetry pipeline
 // (obs/telemetry.h): the run report's "telemetry" section (schema tag,
-// digest invariants, watchdog shape), an exported JSONL time series
-// (per-line schema + strictly increasing seq and monotone wall_ms /
-// iteration counters — the self-describing-stream contract), and an
-// OpenMetrics text exposition (sample syntax, TYPE-before-samples,
-// terminating "# EOF"). cosparse-lint's `report` subcommand runs the
-// section pass; its `telemetry` subcommand runs the file passes; CI lints
-// the quickstart's emitted files with them.
+// digest invariants, watchdog shape) and an exported JSONL time series
+// (per-line schema + strictly increasing integer seq and monotone
+// wall_ms / iteration counters — the self-describing-stream contract).
+// cosparse-lint's `report` subcommand runs the section pass; its
+// `telemetry` subcommand runs the stream pass; CI lints the quickstart's
+// emitted stream with it.
 #pragma once
 
 #include <string>
@@ -27,8 +26,5 @@ namespace cosparse::verify {
 /// per line).
 [[nodiscard]] std::vector<Finding> lint_telemetry_jsonl(
     const std::string& text);
-
-/// Lints an OpenMetrics text exposition.
-[[nodiscard]] std::vector<Finding> lint_openmetrics(const std::string& text);
 
 }  // namespace cosparse::verify

@@ -9,15 +9,12 @@
 // the CI byte-compare diffs; these tests enforce the guarantee in-process.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <set>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "../common/temp_path.h"
 #include "kernels/semiring.h"
-#include "obs/exporter.h"
 #include "obs/report.h"
 #include "obs/telemetry.h"
 #include "runtime/engine.h"
@@ -99,26 +96,19 @@ TEST(TelemetryDifferential, WallClockCadenceIsAlsoBitNeutral) {
   EXPECT_EQ(obs::results_subset(on).dump(1), obs::results_subset(off).dump(1));
 }
 
-/// The JSONL lines one engine run exports at a per-iteration cadence.
+/// The JSONL lines one engine run writes at a per-iteration cadence.
 std::vector<Json> exported_lines(native::ExecMode mode,
                                  obs::SloWatchdog* watchdog) {
-  const std::string path = test::unique_temp_path("snapshots.jsonl");
-  obs::ExporterOptions eopts;
-  eopts.jsonl_path = path;
-  eopts.background = false;
-  obs::TelemetryExporter exporter(eopts);
+  std::stringstream jsonl;
   obs::Telemetry telemetry(obs::TelemetryConfig::parse("1i"));
-  telemetry.set_exporter(&exporter);
+  telemetry.set_jsonl_sink(&jsonl);
   telemetry.set_watchdog(watchdog);
   run_report(&telemetry, 0, mode);
   telemetry.flush();
-  exporter.stop();
   std::vector<Json> lines;
-  std::ifstream in(path);
-  for (std::string line; std::getline(in, line);) {
+  for (std::string line; std::getline(jsonl, line);) {
     lines.push_back(Json::parse(line));
   }
-  std::remove(path.c_str());
   return lines;
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "common/error.h"
@@ -75,6 +77,22 @@ TEST(Json, NonFiniteDumpsAsNull) {
   Json j = Json::object();
   j["inf"] = std::numeric_limits<double>::infinity();
   EXPECT_EQ(j.dump(), R"({"inf":null})");
+}
+
+TEST(Json, AsIntThrowsOutsideTheInt64Range) {
+  EXPECT_THROW((void)Json(1e300).as_int(), Error);
+  EXPECT_THROW((void)Json(-1e300).as_int(), Error);
+  EXPECT_THROW((void)Json(0x1p63).as_int(), Error);  // INT64_MAX + 1
+  EXPECT_THROW((void)Json(std::numeric_limits<double>::infinity()).as_int(),
+               Error);
+  EXPECT_FALSE(Json(1e300).is_integer());
+  // In-range integral doubles still convert, down to exactly -2^63.
+  EXPECT_EQ(Json(0x1p53).as_int(), std::int64_t{1} << 53);
+  EXPECT_EQ(Json(-0x1p63).as_int(), std::numeric_limits<std::int64_t>::min());
+  EXPECT_TRUE(Json(-0x1p63).is_integer());
+  EXPECT_TRUE(Json(2.0).is_integer());
+  EXPECT_FALSE(Json(1.5).is_integer());
+  EXPECT_FALSE(Json("1").is_integer());
 }
 
 TEST(Json, ParseRejectsMalformedInput) {

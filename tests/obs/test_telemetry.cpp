@@ -1,7 +1,7 @@
 // Telemetry registry tests: interval-spec parsing, SLO rule grammar and
 // watchdog triggering (including the no-progress timeout), snapshot
-// cadence under an injected clock, the exporter's JSONL/OpenMetrics
-// goldens, and clean background-thread shutdown.
+// cadence under an injected clock, the JSONL sink's golden line, and the
+// session writing its final snapshot before finalize() returns.
 #include "obs/telemetry.h"
 
 #include <gtest/gtest.h>
@@ -13,7 +13,6 @@
 
 #include "../common/temp_path.h"
 #include "common/error.h"
-#include "obs/exporter.h"
 
 namespace cosparse::obs {
 namespace {
@@ -199,39 +198,18 @@ TEST(Telemetry, OverheadIsSelfReportedOnEveryEnabledTick) {
   EXPECT_EQ(overhead->count(), 2u);
 }
 
-// ---- exporter goldens (synchronous mode, fixed clock) ----
+// ---- the JSONL sink (fixed clock) ----
 
-struct ExportedFiles {
-  std::string jsonl;
-  std::string prom;
-};
-
-ExportedFiles export_one_snapshot() {
-  const std::string jsonl_path = test::unique_temp_path("t.jsonl");
-  const std::string prom_path = test::unique_temp_path("t.prom");
-  ExporterOptions eopts;
-  eopts.jsonl_path = jsonl_path;
-  eopts.prom_path = prom_path;
-  eopts.background = false;  // synchronous: deterministic for goldens
-  TelemetryExporter exporter(eopts);
-
+TEST(TelemetrySink, JsonlSnapshotMatchesGolden) {
+  std::ostringstream jsonl;
   TelemetryConfig cfg;
   cfg.enabled = true;
   Telemetry t(cfg, [] { return 12.5; });
   t.set_header("tool", "test");
-  t.set_exporter(&exporter);
+  t.set_jsonl_sink(&jsonl);
   t.histogram("lat_ms").observe(2.5);
   t.flush();
-  exporter.stop();
-  ExportedFiles files{read_file(jsonl_path), read_file(prom_path)};
-  std::remove(jsonl_path.c_str());
-  std::remove(prom_path.c_str());
-  return files;
-}
-
-TEST(TelemetryExporter, JsonlSnapshotMatchesGolden) {
-  const ExportedFiles files = export_one_snapshot();
-  EXPECT_EQ(files.jsonl,
+  EXPECT_EQ(jsonl.str(),
             "{\"schema\":\"cosparse.telemetry/v1\",\"seq\":0,"
             "\"wall_ms\":12.5,\"iterations\":0,"
             "\"header\":{\"tool\":\"test\"},"
@@ -240,78 +218,48 @@ TEST(TelemetryExporter, JsonlSnapshotMatchesGolden) {
             "\"p999\":2.5}}}\n");
 }
 
-TEST(TelemetryExporter, OpenMetricsExpositionMatchesGolden) {
-  const ExportedFiles files = export_one_snapshot();
-  EXPECT_EQ(files.prom,
-            "# TYPE cosparse_snapshot_seq counter\n"
-            "cosparse_snapshot_seq_total 0\n"
-            "# TYPE cosparse_iterations counter\n"
-            "cosparse_iterations_total 0\n"
-            "# TYPE cosparse_wall_ms gauge\n"
-            "cosparse_wall_ms 12.5\n"
-            "# TYPE cosparse_lat_ms summary\n"
-            "cosparse_lat_ms{quantile=\"0.5\"} 2.5\n"
-            "cosparse_lat_ms{quantile=\"0.9\"} 2.5\n"
-            "cosparse_lat_ms{quantile=\"0.99\"} 2.5\n"
-            "cosparse_lat_ms{quantile=\"0.999\"} 2.5\n"
-            "cosparse_lat_ms_sum 2.5\n"
-            "cosparse_lat_ms_count 1\n"
-            "# EOF\n");
-}
+TEST(TelemetrySession, FinalizeLeavesEverySnapshotInTheJsonlFile) {
+  const std::string jsonl_path = test::unique_temp_path("session.jsonl");
+  CliParser cli("unit", "telemetry session test");
+  TelemetrySession::add_cli_options(cli);
+  const std::string out_arg = "--telemetry-out=" + jsonl_path;
+  const char* argv[] = {"unit", "--telemetry-interval=2i", out_arg.c_str()};
+  ASSERT_TRUE(cli.parse(3, argv));
 
-TEST(TelemetryExporter, MetricNamesAreSanitized) {
-  EXPECT_EQ(openmetrics_name("engine.iteration_ms"),
-            "cosparse_engine_iteration_ms");
-  EXPECT_EQ(openmetrics_name("a-b c"), "cosparse_a_b_c");
-}
-
-TEST(TelemetryExporter, BackgroundStopDrainsTheQueue) {
-  const std::string jsonl_path = test::unique_temp_path("bg.jsonl");
-  ExporterOptions eopts;
-  eopts.jsonl_path = jsonl_path;
-  {
-    TelemetryExporter exporter(eopts);  // background worker thread
-    for (int i = 0; i < 16; ++i) {
-      exporter.publish("{\"seq\":" + std::to_string(i) + "}", "");
-    }
-    exporter.stop();  // must drain every queued line before joining
-    EXPECT_EQ(exporter.lines_written(), 16u);
+  TelemetrySession session;
+  session.init(cli, "unit");
+  ASSERT_TRUE(session.armed());
+  Telemetry& t = *session.telemetry();
+  for (std::uint64_t i = 1; i <= 5; ++i) {
+    t.histogram("m").observe(static_cast<double>(i));
+    t.tick(i);
   }
-  const std::string text = read_file(jsonl_path);
-  int lines = 0;
-  for (const char c : text) lines += c == '\n' ? 1 : 0;
-  EXPECT_EQ(lines, 16);
-  EXPECT_NE(text.find("{\"seq\":15}"), std::string::npos);
-}
+  EXPECT_EQ(session.finalize(), 0);
 
-TEST(TelemetryExporter, FlushWaitsForInFlightLines) {
-  const std::string jsonl_path = test::unique_temp_path("fl.jsonl");
-  ExporterOptions eopts;
-  eopts.jsonl_path = jsonl_path;
-  TelemetryExporter exporter(eopts);
-  for (int i = 0; i < 8; ++i) exporter.publish("{}", "");
-  exporter.flush();
-  EXPECT_EQ(exporter.lines_written(), 8u);
-  exporter.stop();
+  // Snapshots at iterations 2 and 4, plus the final one finalize() takes.
+  const Json report = t.report_json();
+  EXPECT_EQ(report.find("snapshots")->as_int(), 3);
+  std::istringstream in(read_file(jsonl_path));
+  std::int64_t lines = 0;
+  for (std::string line; std::getline(in, line); ++lines) {
+    EXPECT_EQ(Json::parse(line).find("seq")->as_int(), lines);
+  }
+  EXPECT_EQ(lines, report.find("snapshots")->as_int());
+  std::remove(jsonl_path.c_str());
 }
 
 // ---- snapshots omit unused histograms; report_json shape ----
 
 TEST(Telemetry, SnapshotsSkipHistogramsWithNoSamples) {
-  const std::string jsonl_path = test::unique_temp_path("sk.jsonl");
-  ExporterOptions eopts;
-  eopts.jsonl_path = jsonl_path;
-  eopts.background = false;
-  TelemetryExporter exporter(eopts);
+  std::ostringstream jsonl;
   TelemetryConfig cfg;
   cfg.enabled = true;
   Telemetry t(cfg, [] { return 1.0; });
-  t.set_exporter(&exporter);
+  t.set_jsonl_sink(&jsonl);
   t.histogram("used").observe(1.0);
   t.histogram("unused");  // created but never observed
   t.flush();
-  exporter.stop();
-  const Json snap = Json::parse(read_file(jsonl_path));
+  const Json snap = Json::parse(jsonl.str());
   ASSERT_NE(snap.find("hist"), nullptr);
   EXPECT_NE(snap.find("hist")->find("used"), nullptr);
   EXPECT_EQ(snap.find("hist")->find("unused"), nullptr);

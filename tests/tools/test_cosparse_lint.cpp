@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "../common/temp_path.h"
@@ -138,6 +140,92 @@ TEST(CosparseLintCli, TruncatedInputIsReportedUnderItsSubcommand) {
   EXPECT_EQ(run_cli({"report", report}, &text), 1);
   EXPECT_NE(text.find("error[report.unparseable]"), std::string::npos)
       << text;
+}
+
+/// The findings of the one subject a `--json` run linted.
+std::vector<std::pair<std::string, std::string>> findings_of(
+    const std::string& json_text) {
+  std::vector<std::pair<std::string, std::string>> out;
+  const Json doc = Json::parse(json_text);
+  for (const Json& f : doc.find("subjects")->at(0).find("findings")->items()) {
+    out.emplace_back(f.find("id")->as_string(),
+                     f.find("location")->find("name")->as_string());
+  }
+  return out;
+}
+
+bool has_finding(const std::vector<std::pair<std::string, std::string>>& fs,
+                 const std::string& id, const std::string& where) {
+  return std::find(fs.begin(), fs.end(), std::make_pair(id, where)) !=
+         fs.end();
+}
+
+TEST(CosparseLintCli, NonIntegerTelemetrySeqIsAFindingNotAnAbort) {
+  const auto path = write_temp(
+      "seq.jsonl",
+      R"({"schema":"cosparse.telemetry/v1","seq":1.5,"wall_ms":1,)"
+      R"("iterations":1,"header":{"tool":"t","sim_threads":0},"hist":{}})"
+      "\n");
+  std::string text;
+  EXPECT_EQ(run_cli({"telemetry", path, "--json"}, &text), 1);
+  EXPECT_TRUE(
+      has_finding(findings_of(text), "telemetry.bad-value", "line[1].seq"))
+      << text;
+}
+
+/// A report with one mistyped field (a tile's l2_misses, or a field in
+/// `section`) plus a tile-sum mismatch elsewhere: the lint must name the
+/// mistyped field and still report the mismatch.
+std::vector<std::pair<std::string, std::string>> lint_mistyped_report(
+    const std::string& name, const std::string& tile_l2_misses,
+    const std::string& section) {
+  const auto path = write_temp(name, R"({
+    "schema": "cosparse.run_report/v1", "tool": "test",
+    "stats": {"l1_misses": 10, "l2_misses": 3},
+    "tile_stats": [{"l1_misses": 1, "l2_misses": )" + tile_l2_misses +
+                                         "}],\n" + section + "}");
+  std::string text;
+  EXPECT_EQ(run_cli({"report", path, "--json"}, &text), 1);
+  const auto fs = findings_of(text);
+  EXPECT_FALSE(has_finding(fs, "report.unparseable", "(root)")) << text;
+  EXPECT_TRUE(
+      has_finding(fs, "report.tile-sum-mismatch", "tile_stats.l1_misses"))
+      << text;
+  return fs;
+}
+
+std::string audit_with(const std::string& invocation,
+                       const std::string& chosen) {
+  return R"("decision_audit": {"invocations": [{
+      "invocation": )" + invocation + R"(, "forced_sw": false,
+      "features": {}, "checks": [], "sw": "IP", "hw": "SC", "cvd": 0.02,
+      "counterfactuals": [{"chosen": )" + chosen + R"(}, {"chosen": false},
+                          {"chosen": false}, {"chosen": true}]}]})";
+}
+
+TEST(CosparseLintCli, MistypedInvocationIsReportedWhereItIs) {
+  for (const char* invocation : {R"("0")", "0.5"}) {
+    const auto fs = lint_mistyped_report("invocation.report.json", "3",
+                                         audit_with(invocation, "false"));
+    EXPECT_TRUE(has_finding(fs, "report.bad-value",
+                            "decision_audit.invocations[0].invocation"))
+        << invocation;
+  }
+}
+
+TEST(CosparseLintCli, MistypedChosenFlagIsReportedWhereItIs) {
+  const auto fs = lint_mistyped_report("chosen.report.json", "3",
+                                       audit_with("0", R"("no")"));
+  EXPECT_TRUE(has_finding(
+      fs, "report.bad-value",
+      "decision_audit.invocations[0].counterfactuals[0].chosen"));
+}
+
+TEST(CosparseLintCli, MistypedTileCounterIsReportedWhereItIs) {
+  const auto fs = lint_mistyped_report("tile.report.json", R"("3")",
+                                       R"("totals": {"cycles": 1})");
+  EXPECT_TRUE(
+      has_finding(fs, "report.bad-value", "tile_stats[0].l2_misses"));
 }
 
 TEST(CosparseLintCli, DeeplyNestedReportIsUnparseableNotACrash) {

@@ -1,7 +1,7 @@
-// Telemetry lint pass tests: report-section schema validation, JSONL
-// stream monotonicity (seq / wall_ms / iterations), and the OpenMetrics
-// text-exposition checks — each seeded defect must surface the right
-// finding id, and the real exporters' output must pass clean.
+// Telemetry lint pass tests: report-section schema validation and JSONL
+// stream monotonicity (seq / wall_ms / iterations) — each seeded defect
+// must surface the right finding id, and the real report section must
+// pass clean.
 #include "verify/telemetry_lint.h"
 
 #include <gtest/gtest.h>
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "obs/exporter.h"
 #include "obs/telemetry.h"
 
 namespace cosparse::verify {
@@ -89,6 +88,24 @@ TEST(TelemetryLint, DetectsSeqNotStrictlyIncreasing) {
   EXPECT_TRUE(has_id(lint_telemetry_jsonl(text), "telemetry.seq-not-increasing"));
 }
 
+TEST(TelemetryLint, NonIntegerSeqIsABadValueAndLintingGoesOn) {
+  std::string text = snapshot_line(0, 1.0, 1) + "\n";
+  for (const char* seq : {"1.5", "1e300"}) {
+    std::string line = snapshot_line(0, 2.0, 2);
+    line.replace(line.find("\"seq\":0"), 7, std::string("\"seq\":") + seq);
+    text += line + "\n";
+  }
+  text += snapshot_line(1, 0.5, 3) + "\n";  // wall clock regresses
+  const auto f = lint_telemetry_jsonl(text);
+  for (const char* path : {"line[2].seq", "line[3].seq"}) {
+    EXPECT_TRUE(std::any_of(f.begin(), f.end(), [&](const Finding& x) {
+      return x.id == "telemetry.bad-value" && x.location.name == path;
+    })) << path;
+  }
+  EXPECT_FALSE(has_id(f, "telemetry.seq-not-increasing"));
+  EXPECT_TRUE(has_id(f, "telemetry.time-regression"));
+}
+
 TEST(TelemetryLint, DetectsWallClockAndProgressRegressions) {
   const std::string text =
       snapshot_line(0, 5.0, 4) + "\n" + snapshot_line(1, 2.0, 3) + "\n";
@@ -114,46 +131,6 @@ TEST(TelemetryLint, WarnsWhenHeaderLacksToolOrSimThreads) {
 TEST(TelemetryLint, FlagsEmptyStreams) {
   EXPECT_TRUE(has_id(lint_telemetry_jsonl(""), "telemetry.empty-stream"));
   EXPECT_TRUE(has_id(lint_telemetry_jsonl("\n\n"), "telemetry.empty-stream"));
-}
-
-// ---- OpenMetrics expositions ----
-
-TEST(TelemetryLint, RealExpositionPassesClean) {
-  obs::StreamingHistogram h;
-  h.observe(2.5);
-  obs::TelemetrySnapshot snap;
-  snap.seq = 3;
-  snap.wall_ms = 10.0;
-  snap.iterations = 7;
-  snap.hist.emplace_back("engine.iteration_ms", h.summary());
-  EXPECT_TRUE(lint_openmetrics(obs::to_openmetrics(snap)).empty());
-}
-
-TEST(TelemetryLint, DetectsMissingEofTerminator) {
-  EXPECT_TRUE(has_id(lint_openmetrics("cosparse_x 1\n"),
-                     "openmetrics.missing-eof"));
-}
-
-TEST(TelemetryLint, DetectsTextAfterEof) {
-  EXPECT_TRUE(has_id(lint_openmetrics("cosparse_x 1\n# EOF\ncosparse_y 2\n"),
-                     "openmetrics.text-after-eof"));
-}
-
-TEST(TelemetryLint, DetectsBadNamesTypesAndValues) {
-  const auto f = lint_openmetrics(
-      "# TYPE 9bad counter\n"
-      "# TYPE cosparse_x flavor\n"
-      "cosparse_x notanumber\n"
-      "# EOF\n");
-  EXPECT_TRUE(has_id(f, "openmetrics.bad-name"));
-  EXPECT_TRUE(has_id(f, "openmetrics.bad-type"));
-  EXPECT_TRUE(has_id(f, "openmetrics.bad-value"));
-}
-
-TEST(TelemetryLint, WarnsOnSamplelessExposition) {
-  const auto f = lint_openmetrics("# EOF\n");
-  EXPECT_TRUE(has_id(f, "openmetrics.empty"));
-  EXPECT_FALSE(has_id(f, "openmetrics.missing-eof"));
 }
 
 }  // namespace

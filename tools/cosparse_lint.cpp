@@ -24,8 +24,7 @@ constexpr const char* kUsage =
     "\n"
     "subcommands:\n"
     "  report     lint cosparse.run_report/v1 documents\n"
-    "  telemetry  lint exported telemetry files: *.prom/*.txt as\n"
-    "             OpenMetrics text, anything else as snapshot JSONL\n"
+    "  telemetry  lint telemetry JSONL streams (--telemetry-out files)\n"
     "  serve      lint cosparse.serve_config/v1 documents (cosparsed\n"
     "             trace configs)\n"
     "  code       scan the source tree for signal-safety, FP-exactness,\n"
@@ -188,30 +187,24 @@ int lint_main(int argc, const char* const* argv, std::ostream& out,
       buf << in.rdbuf();
 
       verify::LintReport report(path);
-      if (opts.subcommand == "telemetry") {
-        // Dispatch on file shape: OpenMetrics text exposition vs snapshot
-        // JSONL (both produced by the telemetry exporter).
-        const bool openmetrics = path.size() >= 5 &&
-                                 (path.substr(path.size() - 5) == ".prom" ||
-                                  path.substr(path.size() - 4) == ".txt");
-        report.add(openmetrics ? verify::lint_openmetrics(buf.str())
-                               : verify::lint_telemetry_jsonl(buf.str()));
-        report.sort_by_severity();
-      } else {
-        try {
+      try {
+        if (opts.subcommand == "telemetry") {
+          report.add(verify::lint_telemetry_jsonl(buf.str()));
+          report.sort_by_severity();
+        } else {
           const Json doc = Json::parse(buf.str());
           report = opts.subcommand == "report"
                        ? verify::lint_run_report_json(doc, path)
                        : verify::lint_serve_config_json(doc, path);
-        } catch (const Error& e) {
-          // Reported under the pass the subcommand's findings carry.
-          const char* pass = opts.subcommand == "report" ? "report_schema"
-                                                         : "serve_config";
-          report.add(verify::Finding{
-              pass, opts.subcommand + ".unparseable",
-              verify::Severity::kError, e.what(),
-              verify::Location::document("(root)")});
         }
+      } catch (const Error& e) {
+        // Reported under the pass the subcommand's findings carry.
+        const char* pass = opts.subcommand == "report"  ? "report_schema"
+                           : opts.subcommand == "serve" ? "serve_config"
+                                                        : "telemetry";
+        report.add(verify::Finding{pass, opts.subcommand + ".unparseable",
+                                   verify::Severity::kError, e.what(),
+                                   verify::Location::document("(root)")});
       }
       reports.push_back(std::move(report));
     }

@@ -13,9 +13,8 @@
 //     gate on it.
 //
 //   telemetry <file>... [options]
-//     lints exported telemetry artifacts: *.prom / *.txt files as
-//     OpenMetrics text expositions, everything else as snapshot JSONL
-//     streams (schema per line, strictly increasing seq, monotone
+//     lints telemetry JSONL streams, the files --telemetry-out writes
+//     (schema per line, strictly increasing integer seq, monotone
 //     wall_ms/iterations).
 //
 //   serve <config.json>... [options]
